@@ -746,21 +746,13 @@ def wallclock(scale: BenchScale | None = None) -> ExperimentResult:
     compared in CI with ``repro-bench compare``: the ``*_s`` metrics
     gate wall-clock regressions at a generous threshold, the ``.pairs``
     counters gate counter drift exactly.
-
-    The array backend is a run axis, not a loop here: ``run_cd``
-    resolves it from ``REPRO_BACKEND`` (set by ``repro-bench
-    --backend``), so one invocation times one backend and the committed
-    baseline stays a numpy-backend artifact.  The equivalence
-    assertions hold for every backend — maps and counters are boolean
-    outcomes, exact under the backend contract.
     """
     scale = scale or current_scale()
-    from repro.cd.traversal import resolve_backend, run_cd
+    from repro.cd.traversal import run_cd
     from repro.engine.counters import ThreadCounters
     from repro.ica.table import build_ica_table
     from repro.obs.metrics import get_metrics
 
-    backend = resolve_backend(None)
     grid = _grid(scale.default_map)
     wl = build_workload("head", scale.default_resolution, n_pivots=1)
     scene = wl.scene(0)
@@ -815,12 +807,12 @@ def wallclock(scale: BenchScale | None = None) -> ExperimentResult:
         exp_id="wallclock",
         title=(
             f"Frontier engine v1 vs v2 wall-clock (head {scale.default_resolution}^3, "
-            f"map {scale.default_map}^2, serial, backend {backend}, "
+            f"map {scale.default_map}^2, serial, "
             f"best of {_WALLCLOCK_REPS})"
         ),
         headers=["method", "pairs", "v1 ms", "v2 ms", "v2 Mpairs/s", "v2/v1 speedup"],
         rows=rows,
-        extras={"speedups": speedups, "backend": backend},
+        extras={"speedups": speedups},
         notes="Wall-clock of the host traversal loop, not simulated-GPU ms; "
         "maps and per-thread counters are asserted byte-identical across "
         "engines before timing is reported.",

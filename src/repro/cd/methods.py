@@ -69,7 +69,6 @@ def _box_check(rt: Runtime, wave: Wave, mask: np.ndarray) -> np.ndarray:
                     tool.radius,
                     screen=False,
                     frames=frames,
-                    backend=rt.backend,
                 )
         elif len(sel):
             # Sparse mask (corner fallback, cull survivors): gather the
@@ -85,7 +84,6 @@ def _box_check(rt: Runtime, wave: Wave, mask: np.ndarray) -> np.ndarray:
                 tool.z1,
                 tool.radius,
                 frames=frames,
-                backend=rt.backend,
             )
         rt.counters.add_threads("box_checks", wave.threads[mask], rt.counters.n_threads)
         return out
@@ -101,7 +99,6 @@ def _box_check(rt: Runtime, wave: Wave, mask: np.ndarray) -> np.ndarray:
         tool.z1,
         tool.radius,
         frames=frames,
-        backend=rt.backend if ctx is not None else None,
     )
     rt.counters.add_threads("box_checks", wave.threads[mask], rt.counters.n_threads)
     return out

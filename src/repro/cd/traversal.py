@@ -28,6 +28,7 @@ memory stays bounded at any map resolution.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -35,13 +36,6 @@ import numpy as np
 
 from repro.cd.result import CDResult
 from repro.cd.scene import Scene
-from repro.engine.backend import (
-    ArrayBackend,
-    export_backend_metrics,
-    get_backend,
-    resolve_backend,
-    resolve_setting,
-)
 from repro.engine.costs import CostModel, DEFAULT_COSTS
 from repro.engine.counters import StageBreakdown, ThreadCounters
 from repro.engine.device import DeviceSpec, GTX_1080_TI
@@ -62,7 +56,6 @@ __all__ = [
     "LevelContext",
     "run_cd",
     "resolve_engine",
-    "resolve_backend",
     "ENGINES",
     "OUT_NO",
     "OUT_YES",
@@ -83,19 +76,21 @@ ENGINES = ("v1", "v2")
 def resolve_engine(value: str | None = None) -> str:
     """The effective frontier engine: explicit > ``REPRO_ENGINE`` > ``v2``.
 
-    Normalization and fallback are shared with :func:`resolve_backend`
-    via :func:`repro.engine.backend.resolve_setting`: an explicit value
-    that is empty or whitespace-only defers to the environment, and an
-    invalid value raises an error naming both the config field and the
-    environment variable.
+    Both sources are normalized (stripped, lower-cased) before the
+    fallback decision, so an explicit value that is empty or
+    whitespace-only defers to the environment.  An invalid value raises
+    an error naming both the config field and the environment variable.
     """
-    return resolve_setting(
-        value,
-        env_var="REPRO_ENGINE",
-        default="v2",
-        allowed=ENGINES,
-        field="engine",
-    )
+    if value is not None:
+        value = str(value).strip().lower()
+    if not value:
+        value = os.environ.get("REPRO_ENGINE", "").strip().lower() or "v2"
+    if value not in ENGINES:
+        raise ValueError(
+            f"engine must be one of {ENGINES}, got {value!r} "
+            "(check REPRO_ENGINE or TraversalConfig.engine)"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -122,13 +117,6 @@ class TraversalConfig:
     reference path).  ``None`` defers to ``REPRO_ENGINE`` (default v2).
     Maps and counters are byte-identical between engines — the choice
     only affects host wall-clock time.
-
-    ``backend`` picks the array backend the v2 panel/batch kernels run
-    on (see :mod:`repro.engine.backend`); ``None`` defers to
-    ``REPRO_BACKEND`` (default ``numpy``).  The numpy backend is
-    byte-identical; non-numpy backends keep maps and counters exact
-    (boolean outcomes) while intermediate floats are tolerance-gated.
-    The v1 engine ignores the backend — it is the pure-numpy oracle.
     """
 
     start_level: int = 5
@@ -137,7 +125,6 @@ class TraversalConfig:
     max_pairs: int = 4_000_000  # frontier chunking threshold inside a block
     workers: int | None = None  # None = resolve from REPRO_WORKERS (default 1)
     engine: str | None = None  # None = resolve from REPRO_ENGINE (default v2)
-    backend: str | None = None  # None = resolve from REPRO_BACKEND (default numpy)
 
 
 @dataclass
@@ -175,14 +162,11 @@ class Runtime:
 
     ``engine`` is the resolved frontier engine (see
     :func:`resolve_engine`; an explicit value wins over
-    ``config.engine`` which wins over ``REPRO_ENGINE``).  ``backend``
-    is the resolved :class:`~repro.engine.backend.ArrayBackend` the v2
-    panel/batch kernels route through (``config.backend`` >
-    ``REPRO_BACKEND`` > numpy).  Under v2, ``workspace`` is the buffer
-    arena for wave arrays and kernel temporaries (the ambient one when
-    installed, else a fresh private arena) and ``cache`` holds the
-    run's deduplicated per-node and per-thread geometry
-    (:class:`_RunCache`).
+    ``config.engine`` which wins over ``REPRO_ENGINE``).  Under v2,
+    ``workspace`` is the buffer arena for wave arrays and kernel
+    temporaries (the ambient one when installed, else a fresh private
+    arena) and ``cache`` holds the run's deduplicated per-node and
+    per-thread geometry (:class:`_RunCache`).
     """
 
     scene: Scene
@@ -195,14 +179,11 @@ class Runtime:
     engine: str | None = None
     workspace: Workspace | None = None
     cache: "_RunCache | None" = field(default=None, repr=False)
-    backend: "ArrayBackend | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.all_dirs is None:
             self.all_dirs = self.grid.directions()
         self.engine = resolve_engine(self.engine or self.config.engine)
-        if not isinstance(self.backend, ArrayBackend):
-            self.backend = get_backend(self.backend or self.config.backend)
         if self.engine == "v2":
             if self.workspace is None:
                 self.workspace = get_ambient_workspace() or Workspace()
@@ -499,13 +480,11 @@ class LevelContext:
     def pair_dist(self) -> np.ndarray:
         """(F,) pivot distances per pair (lazy; v1's formula per node).
 
-        The dense path is pure gathering (host); the narrow per-pair
-        compute routes through the array backend — on numpy it is the
-        untouched in-place einsum, elsewhere the portable pairwise dot.
+        The dense path is pure gathering; the narrow path is the in-place
+        per-pair einsum.
         """
         if self._dist is None:
             rt = self.rt
-            bk = rt.backend
             F = len(self.codes)
             d = rt.workspace.take("ctx.dist", F)
             if self._dense:
@@ -516,17 +495,11 @@ class LevelContext:
                 vsel, _, vinv = self._virtual()
                 if len(vsel):
                     d[vsel] = self._virtual_dist()[vinv]
-            elif bk.is_numpy:
-                bk.count_kernel()
+            else:
                 rel = rt.workspace.take("ctx.rel", (F, 3))
                 np.subtract(self.centers, rt.scene.pivot, out=rel)
                 np.einsum("ij,ij->i", rel, rel, out=d)
                 np.sqrt(d, out=d)
-            else:
-                bk.count_kernel()
-                xp = bk.xp
-                rel = bk.to_device(self.centers) - bk.to_device(rt.scene.pivot)
-                d[:] = bk.to_host(xp.sqrt(bk.dot3(rel, rel)))
             self._dist = d
         return self._dist
 
@@ -541,14 +514,10 @@ class LevelContext:
 
         The bounds themselves are *stage-1 precompute* work — table
         lookups, unique-code dedup, and the sort-heavy
-        :func:`~repro.ica.cone.ica_bounds_cos` — so like the MICA table
-        they stay on the host under every backend; the seam charges the
-        invocation and downstream panel kernels stage the resulting
-        per-row bounds to the device.
+        :func:`~repro.ica.cone.ica_bounds_cos`.
         """
         if self._bounds is None:
             rt = self.rt
-            rt.backend.count_kernel()
             tool = rt.scene.tool
             F = len(self.codes)
             ws = rt.workspace
@@ -777,13 +746,6 @@ class LevelContext:
         """
         if self._ica_panel is None:
             rt = self.rt
-            bk = rt.backend
-            bk.count_kernel()
-            if not bk.is_numpy:
-                self._ica_panel = self._ica_outcome_panel_xp(
-                    bk, use_memo, expand_corners
-                )
-                return self._ica_panel
             ws = rt.workspace
             _, rel_w, dist_w = self._panel_nodes()
             U = len(dist_w)
@@ -811,42 +773,6 @@ class LevelContext:
             self._ica_panel = (out_mat, corner, memo_stored)
         return self._ica_panel
 
-    def _ica_outcome_panel_xp(self, bk, use_memo: bool, expand_corners: bool):
-        """Portable (Array-API) twin of the CHECKICA panel kernel.
-
-        Node geometry and cone bounds are stage-1 host products; they
-        stage to the device, the dense (U, B) compute runs in ``xp``,
-        and the boolean/uint8 outcome matrices come back to the host
-        for the per-pair gathers.  The pairwise ``outer_dot3`` keeps a
-        numpy-backed namespace bit-equal to the einsum reference, and
-        every downstream quantity is a threshold comparison, so
-        outcomes — and counters — stay exact (the backend contract).
-        """
-        rt = self.rt
-        xp = bk.xp
-        _, rel_w, dist_w = self._panel_nodes()
-        cos1_w, cos2_w, memo_stored = self._panel_bounds(use_memo)
-        dirs = rt.all_dirs[self.t0 : self.t1]
-        rel_d = bk.to_device(rel_w)
-        dirs_d = bk.to_device(dirs)
-        dist_d = bk.to_device(dist_w)
-        cos = bk.outer_dot3(rel_d, dirs_d)
-        safe = xp.maximum(dist_d, xp.asarray(1e-300, dtype=xp.float64))
-        cos = xp.clip(cos / safe[:, None], -1.0, 1.0)
-        cos = xp.where(
-            (dist_d == 0.0)[:, None], xp.asarray(1.0, dtype=xp.float64), cos
-        )
-        yes = cos >= bk.to_device(cos1_w)[:, None]
-        corner_d = xp.logical_not(
-            xp.logical_or(yes, cos <= bk.to_device(cos2_w)[:, None])
-        )
-        out_d = xp.astype(yes, xp.uint8)
-        if expand_corners and self.level < rt.scene.tree.depth:
-            out_d = xp.where(corner_d, xp.asarray(2, dtype=xp.uint8), out_d)
-        out_mat = np.ascontiguousarray(bk.to_host(out_d))
-        corner = np.ascontiguousarray(bk.to_host(corner_d))
-        return out_mat, corner, memo_stored
-
     def box_screen_panel(self):
         """CHECKBOX sphere-screen verdicts per panel cell.
 
@@ -859,11 +785,6 @@ class LevelContext:
             from repro.geometry.batch import tool_point_distance_2d
 
             rt = self.rt
-            bk = rt.backend
-            bk.count_kernel()
-            if not bk.is_numpy:
-                self._screen = self._box_screen_panel_xp(bk)
-                return self._screen
             ws = rt.workspace
             tool = rt.scene.tool
             _, rel_w, dist_w = self._panel_nodes()
@@ -895,39 +816,6 @@ class LevelContext:
             self._screen = (hit, und)
         return self._screen
 
-    def _box_screen_panel_xp(self, bk):
-        """Portable twin of the CHECKBOX sphere-screen panel.
-
-        Same staging story as the CHECKICA twin; the screen thresholds
-        (inscribed/circumscribed radii of the level's cube) are host
-        scalars computed with the reference's exact reductions.
-        """
-        from repro.geometry.batch import tool_point_distance_2d_xp
-
-        rt = self.rt
-        xp = bk.xp
-        tool = rt.scene.tool
-        _, rel_w, dist_w = self._panel_nodes()
-        dirs = rt.all_dirs[self.t0 : self.t1]
-        rel_d = bk.to_device(rel_w)
-        dirs_d = bk.to_device(dirs)
-        axial = bk.outer_dot3(rel_d, dirs_d)
-        rr = bk.dot3(rel_d, rel_d)
-        radial = xp.sqrt(
-            xp.maximum(rr[:, None] - axial * axial, xp.asarray(0.0, dtype=xp.float64))
-        )
-        d2d = tool_point_distance_2d_xp(
-            bk, tool.z0, tool.z1, tool.radius, axial, radial
-        )
-        h3 = np.array([[self.half, self.half, self.half]])
-        r_in = float(h3.min(axis=1)[0])
-        r_circ = float(np.sqrt(np.einsum("ij,ij->i", h3, h3))[0])
-        hit_d = d2d <= r_in
-        und_d = xp.logical_and(d2d <= r_circ, xp.logical_not(hit_d))
-        hit = np.ascontiguousarray(bk.to_host(hit_d))
-        und = np.ascontiguousarray(bk.to_host(und_d))
-        return hit, und
-
     def want_screen_panel(self, n_masked: int) -> bool:
         """Whether the CHECKBOX screen should run on the whole panel.
 
@@ -952,13 +840,7 @@ class LevelContext:
         (exact: the union misses an axis iff every cylinder misses it).
         """
         if self._cullmat is None:
-            rt = self.rt
-            bk = rt.backend
-            bk.count_kernel()
-            if not bk.is_numpy:
-                self._cullmat = self._cull_panel_xp(bk)
-                return self._cullmat
-            ws = rt.workspace
+            ws = self.rt.workspace
             lo, hi, ulo, uhi = self.block_cyl_aabbs()
             centers_w, _, _ = self._panel_nodes()
             U = len(centers_w)
@@ -979,48 +861,6 @@ class LevelContext:
                 ).all(axis=-1).any(axis=-1)
             self._cullmat = possible
         return self._cullmat
-
-    def _cull_panel_xp(self, bk) -> np.ndarray:
-        """Portable twin of the cull panel.
-
-        The scatter-compacted candidate pass of the numpy path needs
-        integer fancy indexing, which the Array API does not guarantee;
-        instead the per-cylinder overlap accumulates over the (small)
-        cylinder axis with dense (U, B) slabs, AND-ed with the same
-        union-box pre-reject.  Every element is the same comparison of
-        the same floats, so the verdict matrix is identical.
-        """
-        rt = self.rt
-        xp = bk.xp
-        lo, hi, ulo, uhi = self.block_cyl_aabbs()
-        centers_w, _, _ = self._panel_nodes()
-        centers_d = bk.to_device(centers_w)
-        blo = centers_d - self.half
-        bhi = centers_d + self.half
-        ulo_d = bk.to_device(ulo)
-        uhi_d = bk.to_device(uhi)
-        cand = xp.all(
-            xp.logical_and(
-                ulo_d[None, :, :] <= bhi[:, None, :],
-                blo[:, None, :] <= uhi_d[None, :, :],
-            ),
-            axis=-1,
-        )
-        lo_d = bk.to_device(lo)  # (B, C, 3)
-        hi_d = bk.to_device(hi)
-        n_cyl = lo.shape[1]
-        possible = None
-        for c in range(n_cyl):
-            over_c = xp.all(
-                xp.logical_and(
-                    lo_d[None, :, c, :] <= bhi[:, None, :],
-                    blo[:, None, :] <= hi_d[None, :, c, :],
-                ),
-                axis=-1,
-            )
-            possible = over_c if possible is None else xp.logical_or(possible, over_c)
-        possible = xp.logical_and(possible, cand)
-        return np.ascontiguousarray(bk.to_host(possible))
 
     def pair_geometry_subset(self, wave, sel: np.ndarray):
         """``(centers, dirs, frames)`` of sub-wave rows ``sel`` (gathers only).
@@ -1481,11 +1321,10 @@ def run_cd(
     if table is not None and getattr(method, "needs_table", False):
         _check_table(table, scene, config)
     engine = resolve_engine(config.engine)
-    backend = resolve_backend(config.backend)
-    if config.engine != engine or config.backend != backend:
-        # Pin the resolved engine/backend into the config so pool workers
-        # (which may not share this process's environment) inherit them.
-        config = replace(config, engine=engine, backend=backend)
+    if config.engine != engine:
+        # Pin the resolved engine into the config so pool workers (which
+        # may not share this process's environment) inherit it.
+        config = replace(config, engine=engine)
     n_workers = resolve_workers(workers if workers is not None else config.workers)
     if n_workers > 1 and grid.size > 1:
         return run_cd_parallel(
@@ -1500,7 +1339,6 @@ def run_cd(
     counters = ThreadCounters(n_threads=M, n_cyl=scene.n_cylinders)
     rt = Runtime(scene=scene, grid=grid, counters=counters, costs=costs, config=config)
     ws_before = rt.workspace.stats() if rt.workspace is not None else None
-    bk_before = rt.backend.stats()
 
     with tracer.span("cd.run", method=method.name, orientations=M) as run_sp:
         table_entries = 0
@@ -1535,7 +1373,6 @@ def run_cd(
             export_workspace_metrics(
                 get_metrics(), rt.workspace.stats_since(ws_before)
             )
-        export_backend_metrics(get_metrics(), rt.backend.stats_since(bk_before))
 
         return _finalize_run(
             scene, grid, method,

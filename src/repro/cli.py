@@ -7,7 +7,6 @@ Usage::
     repro-bench fig16 --json out.json # also write a structured run report
     repro-bench all                   # run everything (respects scale)
     repro-bench fig16 --workers 4     # shard CD runs over 4 processes
-    repro-bench wallclock --backend numpy_portable  # array-backend axis
     repro-bench compare a.json b.json # regression gate between two reports
     repro-bench fig16 --progress      # heartbeat per thread-block/pivot
     REPRO_BENCH_SCALE=medium repro-bench fig05
@@ -40,7 +39,6 @@ import numpy as np
 
 from repro.bench.config import SCALES, current_scale
 from repro.bench.experiments import ALL_EXPERIMENTS
-from repro.engine.backend import BackendUnavailable, get_backend, resolve_backend
 from repro.engine.pool import resolve_workers
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.profile import record_memory_metrics
@@ -117,14 +115,6 @@ def _main_run(argv: list[str]) -> int:
         "REPRO_WORKERS; default 1 = serial)",
     )
     parser.add_argument(
-        "--backend",
-        metavar="NAME",
-        default=None,
-        help="array backend for the v2 panel kernels (numpy, "
-        "numpy_portable, array_api_strict, cupy, torch; overrides "
-        "REPRO_BACKEND; default numpy)",
-    )
-    parser.add_argument(
         "--progress",
         action="store_true",
         help="print a heartbeat line per completed thread-block/pivot "
@@ -143,17 +133,6 @@ def _main_run(argv: list[str]) -> int:
         # Experiments build their own TraversalConfig instances; the env
         # variable is the channel every run_cd resolves its default from.
         os.environ["REPRO_WORKERS"] = str(workers)
-
-    try:
-        backend = resolve_backend(args.backend)
-        get_backend(backend)  # fail fast if the library is not importable
-    except (ValueError, BackendUnavailable) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.backend is not None:
-        # Same channel as --workers: every run_cd resolves its default
-        # backend from the env (and pins it into worker configs).
-        os.environ["REPRO_BACKEND"] = backend
 
     scale = SCALES[args.scale] if args.scale else current_scale()
 
@@ -205,7 +184,6 @@ def _main_run(argv: list[str]) -> int:
             meta={
                 "scale": scale.name,
                 "workers": workers,
-                "backend": backend,
                 "numpy": np.__version__,
                 "blas": _blas_info(),
                 "experiments": [r.exp_id for r in completed],

@@ -19,23 +19,9 @@ from repro.engine.costs import CostModel, DEFAULT_COSTS
 from repro.engine.counters import ThreadCounters, StageBreakdown
 from repro.engine.simt import simulate_kernel, simulate_stage
 from repro.engine.autotune import TuneRow, tune_memo_levels
-from repro.engine.backend import (
-    ArrayBackend,
-    BackendUnavailable,
-    available_backends,
-    export_backend_metrics,
-    get_backend,
-    resolve_backend,
-)
 from repro.engine.pool import SharedScene, WorkerPool, resolve_workers
 
 __all__ = [
-    "ArrayBackend",
-    "BackendUnavailable",
-    "available_backends",
-    "export_backend_metrics",
-    "get_backend",
-    "resolve_backend",
     "DeviceSpec",
     "scaled_device",
     "TuneRow",

@@ -41,7 +41,6 @@ from multiprocessing import get_all_start_methods, get_context, shared_memory
 
 import numpy as np
 
-from repro.engine.backend import export_backend_metrics
 from repro.engine.workspace import Workspace, export_workspace_metrics, use_workspace
 from repro.geometry.aabb import AABB
 from repro.ica.table import IcaTable
@@ -401,7 +400,6 @@ def _cd_block_task(job: dict) -> dict:
             config=config,
             table=table if getattr(method, "needs_table", False) else None,
         )
-        bk_before = rt.backend.stats()
         L0, base_codes, base_idx, base_status = initial_frontier(
             scene, config.start_level
         )
@@ -425,7 +423,6 @@ def _cd_block_task(job: dict) -> dict:
         "busy_s": time.perf_counter() - busy_t0,
         "max_rss_bytes": peak_rss_bytes(),
         "workspace": ws.stats_since(ws_before),
-        "backend": rt.backend.stats_since(bk_before),
     }
 
 
@@ -435,7 +432,8 @@ def _pivot_task(job: dict) -> dict:
     The worker builds its own per-pivot ICA table (exactly as the
     serial path-run does), collects metrics into a throwaway registry
     (the parent re-exports from the returned counters so the ambient
-    registry sees each run exactly once), and returns the CDResult.
+    registry sees each run exactly once), and returns the CDResult plus
+    the worker arena's workspace delta.
     """
     from repro.cd.scene import Scene
     from repro.cd.traversal import run_cd
@@ -449,9 +447,10 @@ def _pivot_task(job: dict) -> dict:
     method = method_by_name(job["method"])
     tracer = Tracer() if job["trace"] else None
     config = replace(job["config"], workers=1)  # no nested pools
-    with use_tracer(tracer), use_metrics(MetricsRegistry()), use_workspace(
-        _worker_workspace()
-    ), use_trace_context(job.get("trace_ctx")):
+    ws = _worker_workspace()
+    ws_before = ws.stats()
+    with use_tracer(tracer), use_metrics(MetricsRegistry()), use_workspace(ws), \
+            use_trace_context(job.get("trace_ctx")):
         result = run_cd(
             scene, job["grid"], method,
             device=job["device"], costs=job["costs"], config=config,
@@ -465,12 +464,28 @@ def _pivot_task(job: dict) -> dict:
         "start_ns": start_ns,
         "busy_s": time.perf_counter() - busy_t0,
         "max_rss_bytes": peak_rss_bytes(),
+        "workspace": ws.stats_since(ws_before),
     }
 
 
 # ---------------------------------------------------------------------------
 # Parent-side orchestration
 # ---------------------------------------------------------------------------
+
+
+def _export_pool_workspace(payloads) -> None:
+    """Fold every task's workspace delta into ``engine.pool.workspace.*``.
+
+    Worker arenas persist per process; report the largest single arena
+    as the held-bytes level and sum the grow/reuse deltas.
+    """
+    agg = {"bytes_held": 0, "grow_events": 0, "reuse_hits": 0}
+    for payload in payloads:
+        wstats = payload["workspace"]
+        agg["bytes_held"] = max(agg["bytes_held"], wstats["bytes_held"])
+        agg["grow_events"] += wstats["grow_events"]
+        agg["reuse_hits"] += wstats["reuse_hits"]
+    export_workspace_metrics(get_metrics(), agg, prefix="engine.pool.workspace")
 
 
 def _block_ranges(M: int, workers: int, thread_block: int) -> list[tuple[int, int]]:
@@ -572,13 +587,6 @@ def run_cd_parallel(
                     with WorkerPool(n_workers) as pool:
                         payloads = pool.map(_cd_block_task, jobs, on_done=on_done)
                 pool_wall = time.perf_counter() - pool_w0
-                # Worker arenas persist per process; report the largest
-                # single arena as the held-bytes level and sum the deltas.
-                ws_agg = {"bytes_held": 0, "grow_events": 0, "reuse_hits": 0}
-                bk_agg = {
-                    "kernel_calls": 0, "h2d_bytes": 0, "d2h_bytes": 0,
-                    "sync_points": 0,
-                }
                 for k, payload in enumerate(payloads):
                     a, b = payload["t0"], payload["t1"]
                     collides[a:b] = payload["collides"]
@@ -586,17 +594,6 @@ def run_cd_parallel(
                     for name, values in payload["counters"].items():
                         getattr(part, name)[a:b] = values
                     counters = counters.merged_with(part)
-                    wstats = payload.get("workspace")
-                    if wstats:
-                        ws_agg["bytes_held"] = max(
-                            ws_agg["bytes_held"], wstats.get("bytes_held", 0)
-                        )
-                        ws_agg["grow_events"] += wstats.get("grow_events", 0)
-                        ws_agg["reuse_hits"] += wstats.get("reuse_hits", 0)
-                    bstats = payload.get("backend")
-                    if bstats:
-                        for key in bk_agg:
-                            bk_agg[key] += bstats.get(key, 0)
                     stats.add_sample(k, payload)
                     if tracer.enabled:
                         tracer.absorb(
@@ -608,12 +605,7 @@ def run_cd_parallel(
                 if tracer.enabled:
                     stats.emit_wait_spans(tracer, parent=tsp.index)
                 stats.export(get_metrics(), wall_s=pool_wall)
-                export_workspace_metrics(
-                    get_metrics(), ws_agg, prefix="engine.pool.workspace"
-                )
-                export_backend_metrics(
-                    get_metrics(), bk_agg, prefix="engine.pool.backend"
-                )
+                _export_pool_workspace(payloads)
         finally:
             if own_arena:
                 shared.destroy()
@@ -692,6 +684,7 @@ def run_along_path_parallel(
             if tracer.enabled:
                 stats.emit_wait_spans(tracer, parent=pool_sp.index)
             stats.export(get_metrics(), wall_s=pool_wall)
+            _export_pool_workspace(payloads)
     finally:
         if own_arena:
             shared.destroy()

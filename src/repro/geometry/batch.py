@@ -32,7 +32,6 @@ __all__ = [
     "tool_aabb_batch",
     "tool_aabb_cull_batch",
     "tool_point_distance_2d",
-    "tool_point_distance_2d_xp",
     "DEFAULT_CHUNK",
 ]
 
@@ -121,60 +120,6 @@ def _clip_slab_batch(poly: np.ndarray, z: np.ndarray, keep_greater: bool) -> np.
     return out, alive
 
 
-def _clip_slab_batch_xp(xp, poly, z, keep_greater: bool):
-    """Portable twin of :func:`_clip_slab_batch` (Array-API namespace ``xp``).
-
-    ``np.put_along_axis`` is not part of the Array API, so the stable
-    compaction scatters through a one-hot mask + sum instead: each output
-    slot receives exactly one valid entry (vertex/crossing slots are
-    disjoint by construction) plus zeros, so every coordinate is
-    reproduced exactly — up to ``-0.0`` collapsing to ``+0.0``, which no
-    downstream comparison can observe.
-    """
-    sign = 1.0 if keep_greater else -1.0
-    K = poly.shape[-2]
-    d = sign * (poly[..., 2] - z[..., None])  # (..., K)
-    d_next = xp.concat([d[..., 1:], d[..., :1]], axis=-1)
-    nxt = xp.concat([poly[..., 1:, :], poly[..., :1, :]], axis=-2)
-
-    keep_vertex = d >= 0.0
-    crossing = xp.logical_or(
-        xp.logical_and(d > 0.0, d_next < 0.0),
-        xp.logical_and(d < 0.0, d_next > 0.0),
-    )
-
-    one = xp.asarray(1.0, dtype=xp.float64)
-    zero = xp.asarray(0.0, dtype=xp.float64)
-    denom = d - d_next
-    t = xp.where(crossing, d / xp.where(crossing, denom, one), zero)
-    cross_pt = poly + t[..., None] * (nxt - poly)
-
-    keep_i = xp.astype(keep_vertex, xp.int64)
-    cross_i = xp.astype(crossing, xp.int64)
-    s = xp.cumulative_sum(keep_i + cross_i, axis=-1)
-    count = s[..., -1]
-    pos_v = s - keep_i - cross_i
-    pos_c = pos_v + keep_i
-    dump = xp.asarray(K + 1, dtype=xp.int64)
-    idx_v = xp.where(xp.logical_and(keep_vertex, pos_v <= K), pos_v, dump)
-    idx_c = xp.where(xp.logical_and(crossing, pos_c <= K), pos_c, dump)
-
-    slots = xp.arange(K + 2, dtype=xp.int64)
-    onehot_v = idx_v[..., :, None] == slots  # (..., K, K+2)
-    onehot_c = idx_c[..., :, None] == slots
-    res = xp.sum(
-        xp.where(onehot_v[..., None], poly[..., :, None, :], zero), axis=-3
-    ) + xp.sum(
-        xp.where(onehot_c[..., None], cross_pt[..., :, None, :], zero), axis=-3
-    )  # (..., K+2, 3)
-
-    alive = count > 0
-    pad = xp.where(alive[..., None], res[..., 0, :], poly[..., 0, :])
-    padmask = slots[: K + 1] >= count[..., None]  # (..., K+1)
-    out = xp.where(padmask[..., None], pad[..., None, :], res[..., : K + 1, :])
-    return out, alive
-
-
 def _poly_circle_hit(pts: np.ndarray, radius: np.ndarray) -> np.ndarray:
     """Does the 2D origin lie within ``radius`` of each batched convex polygon?
 
@@ -196,39 +141,6 @@ def _poly_circle_hit(pts: np.ndarray, radius: np.ndarray) -> np.ndarray:
     dist_sq = np.min(np.einsum("...i,...i->...", closest, closest), axis=-1)
 
     return inside | (dist_sq <= (radius * radius)[...])
-
-
-def _poly_circle_hit_xp(xp, pts, radius):
-    """Portable twin of :func:`_poly_circle_hit`.
-
-    The 2-long dot products are written as explicit component sums,
-    which are bit-equal to the reference's ``einsum("...i,...i->...")``
-    (a 2-term contraction has only one summation order).
-    """
-    nxt = xp.concat([pts[..., 1:, :], pts[..., :1, :]], axis=-2)
-    cross = pts[..., 0] * nxt[..., 1] - pts[..., 1] * nxt[..., 0]  # (..., K)
-    nondegenerate = xp.any(cross != 0.0, axis=-1)
-    inside = xp.logical_and(
-        xp.logical_or(xp.all(cross >= 0.0, axis=-1), xp.all(cross <= 0.0, axis=-1)),
-        nondegenerate,
-    )
-
-    edge = nxt - pts
-    len_sq = edge[..., 0] * edge[..., 0] + edge[..., 1] * edge[..., 1]
-    proj = -(pts[..., 0] * edge[..., 0] + pts[..., 1] * edge[..., 1])
-    one = xp.asarray(1.0, dtype=xp.float64)
-    zero = xp.asarray(0.0, dtype=xp.float64)
-    t = xp.where(
-        len_sq > 0.0,
-        xp.clip(proj / xp.where(len_sq > 0.0, len_sq, one), 0.0, 1.0),
-        zero,
-    )
-    closest = pts + t[..., None] * edge
-    dist_sq = xp.min(
-        closest[..., 0] * closest[..., 0] + closest[..., 1] * closest[..., 1], axis=-1
-    )
-
-    return xp.logical_or(inside, dist_sq <= radius * radius)
 
 
 def _tool_aabb_block(
@@ -285,62 +197,6 @@ def _tool_aabb_block(
     return hit
 
 
-def _tool_aabb_block_xp(
-    bk,
-    pivot: np.ndarray,
-    dirs: np.ndarray,
-    centers: np.ndarray,
-    halves3: np.ndarray,
-    z0s: np.ndarray,
-    z1s: np.ndarray,
-    rads: np.ndarray,
-    frames: np.ndarray | None = None,
-) -> np.ndarray:
-    """Portable twin of :func:`_tool_aabb_block` on backend ``bk``.
-
-    The rotation and the clip/project pipeline run on the device; the
-    cheap O(P*C) mid-point test, the face pre-reject, and the scatter of
-    per-face verdicts stay host-side (they need ``np.nonzero``-style
-    compaction, which the Array API does not guarantee).  Verdicts are
-    bit-equal to the reference: the rotated corners match the einsum
-    accumulation order exactly, so every downstream comparison sees the
-    same floats.
-    """
-    xp = bk.xp
-    if frames is None:
-        frames = frame_from_axis(dirs)  # (P, 3, 3)
-    corners = centers[:, None, :] + _CORNER_SIGNS[None, :, :] * halves3[:, None, :]
-    local_d = bk.rotate3(bk.to_device(frames), bk.to_device(corners - pivot))
-    local = np.asarray(bk.to_host(local_d))  # (P, 8, 3)
-
-    mids = 0.5 * (z0s + z1s)  # (C,)
-    mid_world = pivot[None, None, :] + mids[None, :, None] * dirs[:, None, :]
-    inside_box = np.all(
-        np.abs(mid_world - centers[:, None, :]) <= halves3[:, None, :], axis=-1
-    )  # (P, C)
-    hit = inside_box.any(axis=-1)
-
-    for f in range(6):
-        quad = local[:, _FACE_IDX[f], :]  # (P, 4, 3)
-        qz = quad[..., 2]
-        qlo = qz.min(axis=-1)
-        qhi = qz.max(axis=-1)
-        act = (qlo[:, None] <= z1s[None, :]) & (qhi[:, None] >= z0s[None, :])
-        act &= ~hit[:, None]
-        pi, ci = np.nonzero(act)
-        if not len(pi):
-            continue
-        quad_d = bk.to_device(quad[pi])
-        poly, alive = _clip_slab_batch_xp(xp, quad_d, bk.to_device(z0s[ci]), keep_greater=True)
-        poly, alive2 = _clip_slab_batch_xp(xp, poly, bk.to_device(z1s[ci]), keep_greater=False)
-        alive = xp.logical_and(alive, alive2)
-        face_hit = xp.logical_and(
-            alive, _poly_circle_hit_xp(xp, poly[..., :2], bk.to_device(rads[ci]))
-        )
-        hit[pi[np.asarray(bk.to_host(face_hit))]] = True
-    return hit
-
-
 def tool_aabb_batch(
     pivot,
     dirs,
@@ -353,7 +209,6 @@ def tool_aabb_batch(
     chunk: int = DEFAULT_CHUNK,
     screen: bool = True,
     frames: np.ndarray | None = None,
-    backend=None,
 ) -> np.ndarray:
     """Batched whole-tool ``CHECKBOX``: does any tool cylinder hit each box?
 
@@ -382,12 +237,6 @@ def tool_aabb_batch(
     Note this wall-clock shortcut has no effect on the *simulated* cost
     accounting: callers charge the paper's ``216 * N_c`` per CHECKBOX
     regardless of how this Python implementation resolves it.
-
-    ``backend`` — optional :class:`repro.engine.backend.ArrayBackend`.
-    ``None`` or the numpy backend runs the reference numpy pipeline
-    unchanged; any other backend routes the arithmetic through its
-    Array-API namespace (verdicts stay bit-equal — they are boolean
-    outcomes of identical float comparisons).
     """
     pivot = np.asarray(pivot, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -397,30 +246,14 @@ def tool_aabb_batch(
     rads = np.atleast_1d(np.asarray(rads, dtype=np.float64))
     P = dirs.shape[0]
     halves3 = _as_halves3(halves, P)
-    bk = backend if backend is not None and not backend.is_numpy else None
 
     if screen and P:
-        if bk is not None:
-            xp = bk.xp
-            rel_d = bk.to_device(centers - pivot)
-            dirs_d = bk.to_device(dirs)
-            axial = bk.dot3(rel_d, dirs_d)
-            radial = xp.sqrt(
-                xp.maximum(
-                    bk.dot3(rel_d, rel_d) - axial * axial,
-                    xp.asarray(0.0, dtype=xp.float64),
-                )
-            )
-            d2d = np.asarray(
-                bk.to_host(tool_point_distance_2d_xp(bk, z0s, z1s, rads, axial, radial))
-            )
-        else:
-            rel = centers - pivot
-            axial = np.einsum("ij,ij->i", rel, dirs)
-            radial = np.sqrt(
-                np.maximum(np.einsum("ij,ij->i", rel, rel) - axial * axial, 0.0)
-            )
-            d2d = tool_point_distance_2d(z0s, z1s, rads, axial, radial)
+        rel = centers - pivot
+        axial = np.einsum("ij,ij->i", rel, dirs)
+        radial = np.sqrt(
+            np.maximum(np.einsum("ij,ij->i", rel, rel) - axial * axial, 0.0)
+        )
+        d2d = tool_point_distance_2d(z0s, z1s, rads, axial, radial)
         r_in = halves3.min(axis=1)
         r_circ = np.sqrt(np.einsum("ij,ij->i", halves3, halves3))
         out = d2d <= r_in
@@ -437,17 +270,13 @@ def tool_aabb_batch(
                 chunk=chunk,
                 screen=False,
                 frames=frames[undecided] if frames is not None else None,
-                backend=bk,
             )
         return out
 
     out = np.empty(P, dtype=bool)
-    block = _tool_aabb_block if bk is None else (
-        lambda *a, frames=None: _tool_aabb_block_xp(bk, *a, frames=frames)
-    )
     for start in range(0, P, chunk):
         sl = slice(start, min(start + chunk, P))
-        out[sl] = block(
+        out[sl] = _tool_aabb_block(
             pivot, dirs[sl], centers[sl], halves3[sl], z0s, z1s, rads,
             frames=frames[sl] if frames is not None else None,
         )
@@ -456,7 +285,6 @@ def tool_aabb_batch(
 
 def tool_aabb_cull_batch(
     pivot, dirs, centers, halves, z0s, z1s, rads, *, chunk: int = 131072,
-    backend=None,
 ) -> np.ndarray:
     """Conservative AABB cull used by the *optimized PBox* method.
 
@@ -465,8 +293,7 @@ def tool_aabb_cull_batch(
     exact test can be skipped (provably no intersection); ``True`` means
     "possible" and the exact kernel must run.  This is the paper's
     optimized-PBox trick: apply AABBs to the voxel after each rotation.
-    ``halves`` may be a scalar, ``(P,)`` or ``(P, 3)``.  ``backend``
-    routes the arithmetic like in :func:`tool_aabb_batch`.
+    ``halves`` may be a scalar, ``(P,)`` or ``(P, 3)``.
     """
     pivot = np.asarray(pivot, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -476,7 +303,6 @@ def tool_aabb_cull_batch(
     rads = np.atleast_1d(np.asarray(rads, dtype=np.float64))
     P = dirs.shape[0]
     halves3 = _as_halves3(halves, P)
-    bk = backend if backend is not None and not backend.is_numpy else None
 
     if P > chunk:
         out = np.empty(P, dtype=bool)
@@ -484,28 +310,9 @@ def tool_aabb_cull_batch(
             sl = slice(start, min(start + chunk, P))
             out[sl] = tool_aabb_cull_batch(
                 pivot, dirs[sl], centers[sl], halves3[sl], z0s, z1s, rads,
-                chunk=chunk, backend=bk,
+                chunk=chunk,
             )
         return out
-
-    if bk is not None:
-        xp = bk.xp
-        dirs_d = bk.to_device(dirs)
-        pivot_d = bk.to_device(pivot)
-        z0_d = bk.to_device(z0s)
-        z1_d = bk.to_device(z1s)
-        r_d = bk.to_device(rads)
-        lateral = r_d[None, :, None] * xp.sqrt(
-            xp.clip(1.0 - dirs_d[:, None, :] ** 2, 0.0, 1.0)
-        )  # (P, C, 3)
-        c0 = pivot_d + z0_d[None, :, None] * dirs_d[:, None, :]
-        c1 = pivot_d + z1_d[None, :, None] * dirs_d[:, None, :]
-        lo = xp.minimum(c0, c1) - lateral
-        hi = xp.maximum(c0, c1) + lateral
-        blo = (bk.to_device(centers) - bk.to_device(halves3))[:, None, :]
-        bhi = (bk.to_device(centers) + bk.to_device(halves3))[:, None, :]
-        overlap = xp.all(xp.logical_and(lo <= bhi, blo <= hi), axis=-1)
-        return np.ascontiguousarray(bk.to_host(xp.any(overlap, axis=-1)))
 
     # Per-axis lateral reach of an oriented cylinder: r * sqrt(1 - d_a^2).
     lateral = rads[None, :, None] * np.sqrt(
@@ -538,22 +345,3 @@ def tool_point_distance_2d(z0s, z1s, rads, axial, radial) -> np.ndarray:
     dz = np.maximum(z0s - axial, 0.0) + np.maximum(axial - z1s, 0.0)
     dr = np.maximum(radial - rads, 0.0)
     return np.min(np.hypot(dz, dr), axis=-1)
-
-
-def tool_point_distance_2d_xp(bk, z0s, z1s, rads, axial, radial):
-    """Portable twin of :func:`tool_point_distance_2d` on backend ``bk``.
-
-    ``axial``/``radial`` are already device arrays in ``bk``'s namespace;
-    the cylinder stack is staged on demand.  Returns a device array of
-    the broadcast shape.
-    """
-    xp = bk.xp
-    z0_d = bk.to_device(np.atleast_1d(np.asarray(z0s, dtype=np.float64)))
-    z1_d = bk.to_device(np.atleast_1d(np.asarray(z1s, dtype=np.float64)))
-    r_d = bk.to_device(np.atleast_1d(np.asarray(rads, dtype=np.float64)))
-    ax = axial[..., None]
-    ra = radial[..., None]
-    zero = xp.asarray(0.0, dtype=xp.float64)
-    dz = xp.maximum(z0_d - ax, zero) + xp.maximum(ax - z1_d, zero)
-    dr = xp.maximum(ra - r_d, zero)
-    return xp.min(xp.hypot(dz, dr), axis=-1)

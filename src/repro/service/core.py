@@ -32,7 +32,7 @@ from repro.cd.ammaps import merge_accessible
 from repro.cd.methods import METHODS, method_by_name
 from repro.cd.pathrun import run_along_path
 from repro.cd.scene import Scene
-from repro.cd.traversal import TraversalConfig, resolve_backend, run_cd
+from repro.cd.traversal import TraversalConfig, run_cd
 from repro.engine.workspace import Workspace, use_workspace
 from repro.obs.context import TraceContext, current_trace_context
 from repro.obs.metrics import get_metrics
@@ -64,10 +64,7 @@ class QuerySpec:
     re-query); ``pivots`` switches to a path query whose per-pivot maps
     are combined with ``merge`` (see
     :func:`repro.cd.ammaps.merge_accessible`).  ``workers = 0`` defers
-    to the service's default worker count.  ``backend = None`` resolves
-    the array backend like a direct run (``REPRO_BACKEND``, default
-    numpy); the resolved name is part of the query identity, since
-    non-numpy backends only guarantee allclose floats.
+    to the service's default worker count.
     """
 
     scene: str
@@ -81,11 +78,10 @@ class QuerySpec:
     memo_levels: int = _DEFAULT_CONFIG.memo_levels
     thread_block: int = _DEFAULT_CONFIG.thread_block
     max_pairs: int = _DEFAULT_CONFIG.max_pairs
-    backend: str | None = None
 
     _FIELDS = (
         "scene", "grid", "method", "pivot", "pivots", "merge", "workers",
-        "start_level", "memo_levels", "thread_block", "max_pairs", "backend",
+        "start_level", "memo_levels", "thread_block", "max_pairs",
     )
 
     def __post_init__(self) -> None:
@@ -122,9 +118,6 @@ class QuerySpec:
         for name in ("start_level", "memo_levels", "thread_block", "max_pairs"):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        # Resolve the backend at construction so specs differing only in
-        # spelling (None vs env value vs " NUMPY ") share one digest.
-        object.__setattr__(self, "backend", resolve_backend(self.backend))
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuerySpec":
@@ -146,7 +139,6 @@ class QuerySpec:
             thread_block=self.thread_block,
             max_pairs=self.max_pairs,
             workers=1,  # the service resolves workers itself
-            backend=self.backend,
         )
 
     def digest(self) -> str:
@@ -157,10 +149,10 @@ class QuerySpec:
         must share one cache entry and coalesce together.
         """
         return _digest_of((
-            "repro.service.query/v2",
+            "repro.service.query/v3",
             self.scene, self.grid, self.method, self.pivot, self.pivots,
             self.merge, self.start_level, self.memo_levels,
-            self.thread_block, self.max_pairs, self.backend,
+            self.thread_block, self.max_pairs,
         ))
 
     def to_dict(self) -> dict:
@@ -176,7 +168,6 @@ class QuerySpec:
             "memo_levels": self.memo_levels,
             "thread_block": self.thread_block,
             "max_pairs": self.max_pairs,
-            "backend": self.backend,
         }
 
 

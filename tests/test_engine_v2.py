@@ -234,6 +234,25 @@ class TestEngineEquivalence:
         assert m["engine.pool.workspace.grow_events"]["value"] > 0
         assert m["engine.pool.workspace.reuse_hits"]["value"] > 0
 
+    def test_path_pool_workspace_metrics_exported(self, sphere_scene):
+        # Pivot-sharded path runs fold their workers' arenas into the
+        # same engine.pool.workspace.* namespace as orientation sharding.
+        from repro.cd.pathrun import run_along_path
+        from repro.tool.tool import paper_tool
+
+        pivots = sphere_scene.pivot + np.array(
+            [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]
+        )
+        with use_metrics(MetricsRegistry()) as reg:
+            run_along_path(
+                sphere_scene.tree, paper_tool(), pivots, GRID,
+                method_by_name("AICA"), config=TraversalConfig(engine="v2"),
+                workers=2,
+            )
+        m = reg.as_dict()
+        assert m["engine.pool.workspace.grow_events"]["value"] > 0
+        assert m["engine.pool.workspace.bytes_held"]["value"] > 0
+
     def test_v1_exports_no_workspace_metrics(self, sphere_scene):
         with use_metrics(MetricsRegistry()) as reg:
             run_cd(
@@ -255,7 +274,9 @@ class TestScreenPanelRouting:
     gathers verdicts; the sparse branch gathers the masked pairs and
     screens them per pair.  The heuristic picks between them on mask
     density, so each branch is forced explicitly here and checked
-    against the v1 reference — backend routing must not regress either.
+    against the v1 reference.  These are also the forced-panel runs for
+    every method: the low panel gates make the tiny scene take the dense
+    CHECKICA, screen and cull panels.
     """
 
     def test_heuristic(self):
@@ -276,32 +297,43 @@ class TestScreenPanelRouting:
         fake._screen = object()  # matrix already built: gathering is free
         assert want(fake, 0) is True
 
-    @pytest.mark.parametrize("engine_backend", [("v2", None), ("v2", "numpy_portable")])
-    @pytest.mark.parametrize("dense", [True, False])
-    @pytest.mark.parametrize("method", ["PBox", "PBoxOpt", "AICA"])
-    def test_forced_branches_identical(
-        self, sphere_scene, monkeypatch, method, dense, engine_backend
-    ):
+    @staticmethod
+    def _force_panels(monkeypatch, dense: bool | None = None) -> None:
+        # Low panel gates so the tiny scene runs panel mode at all
+        # (n_masked spans tiny corner masks up to full-frontier masks),
+        # then optionally pin the branch.
         import repro.cd.traversal as trav
 
-        engine, backend = engine_backend
+        monkeypatch.setattr(trav, "_PANEL_MIN_PAIRS", 1)
+        monkeypatch.setattr(trav, "_PANEL_OVERSAMPLE", 1e9)
+        if dense is not None:
+            monkeypatch.setattr(
+                trav.LevelContext, "want_screen_panel", lambda self, n: dense
+            )
+
+    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_forced_branches_identical(self, sphere_scene, monkeypatch, method, dense):
         ref = run_cd(
             sphere_scene, GRID, method_by_name(method),
             config=TraversalConfig(engine="v1", start_level=2),
         )
-        # Low panel gates so the tiny scene runs panel mode at all
-        # (n_masked spans tiny corner masks up to full-frontier masks),
-        # then pin the branch.
-        monkeypatch.setattr(trav, "_PANEL_MIN_PAIRS", 1)
-        monkeypatch.setattr(trav, "_PANEL_OVERSAMPLE", 1e9)
-        monkeypatch.setattr(
-            trav.LevelContext, "want_screen_panel", lambda self, n: dense
-        )
+        self._force_panels(monkeypatch, dense)
         forced = run_cd(
             sphere_scene, GRID, method_by_name(method),
-            config=TraversalConfig(engine=engine, backend=backend, start_level=2),
+            config=TraversalConfig(engine="v2", start_level=2),
         )
-        _assert_identical(ref, forced, f"{method} dense={dense} backend={backend}")
+        _assert_identical(ref, forced, f"{method} dense={dense}")
+
+    def test_forced_panels_pooled_identical_to_serial(self, sphere_scene, monkeypatch):
+        # Under the default fork start method the pool workers inherit
+        # the lowered gates, so both sides run the panel kernels from a
+        # multi-level start.
+        self._force_panels(monkeypatch)
+        cfg = TraversalConfig(engine="v2", start_level=2)
+        serial = run_cd(sphere_scene, GRID, method_by_name("AICA"), config=cfg, workers=1)
+        pooled = run_cd(sphere_scene, GRID, method_by_name("AICA"), config=cfg, workers=2)
+        _assert_identical(serial, pooled, "forced panels pooled vs serial")
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,10 @@ class TestCli:
         names = rep.span_names()
         assert {"octree.build", "ica.table.build", "cd.traversal", "cd.run"} <= names
         assert rep.meta["scale"] == "smoke"
+        assert rep.meta["numpy"] == np.__version__ and "blas" in rep.meta
+        assert "backend" not in rep.meta
+        assert not any(n.startswith(("engine.backend.", "engine.pool.backend."))
+                       for n in rep.metrics)
         assert rep.results[0]["exp_id"] == "fig18"
         assert rep.metrics["cd.total_checks"]["value"] > 0
 

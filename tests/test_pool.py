@@ -162,15 +162,11 @@ class TestRunCdEquivalence:
         a, b = serial_reg.as_dict(), par_reg.as_dict()
         # Every serial metric exists in the pooled registry with the same
         # counts; the pooled run adds its engine.pool.* telemetry on top.
-        # Workspace arena and array-backend telemetry are host-side (one
-        # arena/backend per serial run vs one per worker) so they live in
-        # per-path namespaces — engine.{workspace,backend}.* serial,
-        # engine.pool.{workspace,backend}.* pooled — and are exempt from
-        # the cross-path comparison.
-        host_only = {
-            n for n in a
-            if n.startswith(("engine.workspace.", "engine.backend."))
-        }
+        # Workspace arena telemetry is host-side (one arena per serial
+        # run vs one per worker) so it lives in per-path namespaces —
+        # engine.workspace.* serial, engine.pool.workspace.* pooled — and
+        # is exempt from the cross-path comparison.
+        host_only = {n for n in a if n.startswith("engine.workspace.")}
         assert set(a) - host_only <= set(b)
         assert all(n.startswith(("engine.pool.", "proc.")) for n in set(b) - set(a))
         for name in set(a) - host_only:
@@ -231,14 +227,10 @@ class TestPathRunEquivalence:
         # namespaces: under REPRO_WORKERS the "serial" path run still
         # orientation-shards its inner run_cd calls (exporting
         # engine.pool.workspace.*), while the pivot-sharded run forces
-        # its inner runs serial — arena/backend telemetry is per-path,
-        # host-side.
+        # its inner runs serial — arena telemetry is per-path, host-side.
         host_only = {
             n for n in a
-            if n.startswith((
-                "engine.workspace.", "engine.pool.workspace.",
-                "engine.backend.", "engine.pool.backend.",
-            ))
+            if n.startswith(("engine.workspace.", "engine.pool.workspace."))
         }
         assert set(a) - host_only <= set(b)
         assert all(n.startswith(("engine.pool.", "proc.")) for n in set(b) - set(a))

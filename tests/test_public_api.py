@@ -40,6 +40,25 @@ class TestTopLevelExports:
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{module}.{name} missing"
 
+    def test_no_array_backend_seam(self):
+        """The pluggable array backend was removed; nothing re-exports it."""
+        import dataclasses
+
+        import repro.engine
+        from repro.cd import traversal
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.engine.backend")
+        removed = {
+            "ArrayBackend", "BackendUnavailable", "available_backends",
+            "export_backend_metrics", "get_backend", "resolve_backend",
+        }
+        assert not removed & set(repro.engine.__all__)
+        assert not any(hasattr(repro.engine, n) for n in removed)
+        assert not hasattr(traversal, "resolve_backend")
+        fields = {f.name for f in dataclasses.fields(traversal.TraversalConfig)}
+        assert "backend" not in fields
+
     def test_docstring_example_runs(self):
         """The package docstring's doctest is the first thing users copy."""
         import doctest

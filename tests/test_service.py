@@ -232,6 +232,14 @@ class TestQuerySpec:
         a = QuerySpec(scene="d", grid=(8, 8), method="AICA", workers=1)
         b = QuerySpec(scene="d", grid=(8, 8), method="aica", workers=4)
         assert a.digest() == b.digest()
+        # Specs differing only in workers share one digest too.
+        c = QuerySpec(scene="d", grid=(8, 8), method="AICA", workers=3)
+        assert a.digest() == c.digest()
+
+    def test_backend_is_not_a_query_field(self):
+        assert "backend" not in QuerySpec(scene="d").to_dict()
+        with pytest.raises(ValueError, match=r"unknown query field\(s\): backend"):
+            QuerySpec.from_dict({"scene": "d", "backend": "numpy"})
 
     def test_digest_sensitive_to_inputs(self):
         base = QuerySpec(scene="d", grid=(8, 8), method="AICA")

@@ -140,6 +140,14 @@ class TestEndpoints:
         status, body = _post(f"{base}/v1/cd", {"scene": digest, "method": "NOPE"})
         assert status == 400 and "unknown method" in body["error"]
 
+    def test_query_backend_field_400(self, server):
+        base, digest = server
+        status, body = _post(f"{base}/v1/cd", {
+            "scene": digest, "grid": [4, 4], "backend": "numpy",
+        })
+        assert status == 400
+        assert "unknown query field(s): backend" in body["error"]
+
     def test_non_json_body_400(self, server):
         base, _ = server
         req = urllib.request.Request(
