@@ -33,11 +33,13 @@ reports keep their schema regardless of the worker count.
 from __future__ import annotations
 
 import os
+import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import replace
-from multiprocessing import get_all_start_methods, get_context, shared_memory
+from multiprocessing import get_all_start_methods, get_context, resource_tracker, shared_memory
 
 import numpy as np
 
@@ -179,7 +181,7 @@ class SharedScene:
         if cached is not None:
             return cached[1], cached[2]
 
-        shm = shared_memory.SharedMemory(name=name)
+        shm = _attach_untracked(name)
         views: dict[str, np.ndarray] = {}
         for spec in manifest["arrays"]:
             dtype = np.dtype(spec["dtype"])
@@ -234,6 +236,36 @@ class SharedScene:
             self._shm.unlink()
         except FileNotFoundError:
             pass
+
+
+_REGISTER_LOCK = threading.Lock()
+
+
+def _attach_untracked(name: str) -> shared_memory.SharedMemory:
+    """Open an existing block without registering it with a resource tracker.
+
+    Only the creator owns the block and unlinks it (:meth:`SharedScene.destroy`).
+    Before Python 3.13 attaching registers the name too, and a pool worker
+    forked before the parent's tracker started runs a tracker of its own:
+    when the worker exits, that tracker unlinks the "leaked" block while
+    the parent still serves from it.  Unregistering after the attach is no
+    fix, because a fork child that shares the parent's tracker would drop
+    the parent's own entry; so the register call is skipped for this name.
+    """
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    with _REGISTER_LOCK:
+        register = resource_tracker.register
+
+        def register_others(res_name, rtype):
+            if rtype != "shared_memory" or res_name.lstrip("/") != name.lstrip("/"):
+                register(res_name, rtype)
+
+        resource_tracker.register = register_others
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = register
 
 
 # Worker-side attachment cache: shm name -> (shm, tree, table).  Bounded

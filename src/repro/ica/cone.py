@@ -42,6 +42,16 @@ membership evaluation needs).  Spurious candidates (crossings with a
 component's extension outside its valid range) merely split a segment in
 two and are harmless.
 
+Membership is the hot step: ``8C + 1`` segment samples per sphere, each
+tested against ``C`` rectangles.  It runs in row blocks of
+:data:`MEMBER_BLOCK`, one cylinder at a time, with in-place ufuncs on
+preallocated ``(block, 8C + 1)`` scratch and an in-place OR, so no
+``(B, 8C + 1, C)`` temporary exists and the working set stays in cache.
+The result is bit-identical to a one-shot broadcast because each element
+still gets the same operations in the same order; only the loop nesting
+changed.  The candidate columns are likewise written into one
+preallocated array instead of being concatenated.
+
 The cos-space results are exposed directly (:func:`ica_bounds_cos`) for
 hot paths that also keep their query angles as cosines; the angle-space
 API applies a single ``arccos`` per output.
@@ -71,25 +81,63 @@ ACCESSIBLE_SENTINEL = -1.0
 COS_NEVER = 2.0
 
 
+#: Rows per membership block.  The cylinder loop sweeps four ``(block,
+#: 8C+1)`` float64 scratch arrays (~200 KB each for a 3-cylinder tool), so
+#: they stay in L2 instead of streaming multi-MB temporaries through memory.
+MEMBER_BLOCK = 1024
+
+
 def _member_cos(z0, z1, R, d, r, c) -> np.ndarray:
     """Touching test at cosine samples ``c (B, S)``; tool ``(C,)``, ``d``/``r`` ``(B,)``.
 
     ``z = d*c``, ``rho = d*sqrt(1 - c^2)`` (the ``theta in [0, pi]``
-    branch), then 2D distance to each rectangle vs ``r``.
+    branch), then per cylinder the 2D distance to its rectangle vs ``r``:
+    ``dz = max(z0 - z, 0) + max(z - z1, 0)``, ``drho = max(rho - R, 0)``,
+    ``dz^2 + drho^2 <= r^2``, OR-ed over cylinders.  Rows go through
+    preallocated ``(MEMBER_BLOCK, S)`` scratch one cylinder at a time, so
+    no ``(B, S, C)`` temporary exists; each element still sees the same
+    operations in the same order, so the booleans are bit-identical to a
+    one-shot broadcast over ``(B, S, C)``.
     """
-    cc = np.clip(c, -1.0, 1.0)
-    z = (d[:, None] * cc)[:, :, None]  # (B, S, 1)
-    rho = (d[:, None] * np.sqrt(1.0 - cc * cc))[:, :, None]
-    dz = np.maximum(z0 - z, 0.0) + np.maximum(z - z1, 0.0)  # (B, S, C)
-    drho = np.maximum(rho - R, 0.0)
-    rr = r[:, None, None]
-    return ((dz * dz + drho * drho) <= rr * rr).any(axis=-1)
+    B, S = c.shape
+    member = np.zeros((B, S), dtype=bool)
+    n = min(B, MEMBER_BLOCK)
+    z, rho, a, b = (np.empty((n, S)) for _ in range(4))
+    hit = np.empty((n, S), dtype=bool)
+    rr = (r * r)[:, None]
+    cyls = list(zip(z0.tolist(), z1.tolist(), R.tolist()))
+    for start in range(0, B, MEMBER_BLOCK):
+        stop = min(start + MEMBER_BLOCK, B)
+        m = stop - start
+        zb, rhob, ab, bb, hitb = z[:m], rho[:m], a[:m], b[:m], hit[:m]
+        db, rrb, mb = d[start:stop, None], rr[start:stop], member[start:stop]
+        np.clip(c[start:stop], -1.0, 1.0, out=ab)
+        np.multiply(db, ab, out=zb)
+        np.multiply(ab, ab, out=bb)
+        np.subtract(1.0, bb, out=bb)
+        np.sqrt(bb, out=bb)
+        np.multiply(db, bb, out=rhob)
+        for z0c, z1c, Rc in cyls:
+            np.subtract(z0c, zb, out=ab)
+            np.maximum(ab, 0.0, out=ab)
+            np.subtract(zb, z1c, out=bb)
+            np.maximum(bb, 0.0, out=bb)
+            ab += bb  # dz
+            ab *= ab
+            np.subtract(rhob, Rc, out=bb)
+            np.maximum(bb, 0.0, out=bb)  # drho
+            bb *= bb
+            ab += bb
+            np.less_equal(ab, rrb, out=hitb)
+            mb |= hitb
+    return member
 
 
-def _candidate_cos(z0, z1, R, d, r) -> np.ndarray:
-    """Cosines of all potential arc/boundary crossings, shape ``(B, 8C + 2)``.
+def _sorted_candidates(z0, z1, R, d, r) -> np.ndarray:
+    """Cosines of all potential arc/boundary crossings, sorted descending.
 
-    Per cylinder: 2 cap-line crossings, 2 top-line crossings, 2 + 2
+    Shape ``(B, 8C + 2)``; descending cosine == ascending angle.  Per
+    cylinder: 2 cap-line crossings, 2 top-line crossings, 2 + 2
     corner-circle crossings; plus the global endpoints ``cos 0 = 1`` and
     ``cos pi = -1``.  Out-of-range values are clipped into ``[-1, 1]``,
     yielding degenerate (harmless) candidates.  All closed form:
@@ -101,32 +149,53 @@ def _candidate_cos(z0, z1, R, d, r) -> np.ndarray:
       ``cos delta = (d^2 + |q|^2 - r^2) / (2 d |q|)``, and
       ``cos(alpha +- delta)`` expands with ``cos alpha = zc/|q|``,
       ``sin alpha = R/|q|`` — arithmetic only.
+
+    The columns are filled as ``(8C + 2, B)`` rows of one preallocated
+    array (unit-stride over the batch), in the fixed column order cap-hi,
+    cap-lo, +top, -top, then the z0 and z1 corners (+ then -) and the two
+    endpoints, and transposed once into the sort.
     """
-    B = d.shape[0]
-    d_ = np.maximum(d, 1e-300)[:, None]  # guard the d = 0 degenerate case
-    r_ = r[:, None]
+    C, B = z0.size, d.size
+    d_ = np.maximum(d, 1e-300)  # guard the d = 0 degenerate case
+    rows = np.empty((8 * C + 2, B))
+    part = [rows[k * C : (k + 1) * C] for k in range(8)]  # (C, B) each
 
-    cap_hi = np.clip((z1 + r_) / d_, -1.0, 1.0)  # (B, C)
-    cap_lo = np.clip((z0 - r_) / d_, -1.0, 1.0)
-    s_top = np.clip((R + r_) / d_, 0.0, 1.0)
-    c_top = np.sqrt(1.0 - s_top * s_top)
+    np.add(z1[:, None], r, out=part[0])
+    np.subtract(z0[:, None], r, out=part[1])
+    caps = rows[: 2 * C]
+    np.clip(np.divide(caps, d_, out=caps), -1.0, 1.0, out=caps)
+    c_top = part[2]
+    np.add(R[:, None], r, out=c_top)
+    np.clip(np.divide(c_top, d_, out=c_top), 0.0, 1.0, out=c_top)  # sin of the top crossing
+    np.multiply(c_top, c_top, out=c_top)
+    np.sqrt(np.subtract(1.0, c_top, out=c_top), out=c_top)
+    np.negative(c_top, out=part[3])
 
-    parts = [cap_hi, cap_lo, c_top, -c_top]
-    for cz in (z0, z1):
-        Dq = np.hypot(cz, R)[None, :]  # (1, C) pivot-to-corner distance
-        Dq_safe = np.maximum(Dq, 1e-300)
-        cos_a = cz / Dq_safe
-        sin_a = R / Dq_safe
-        cos_delta = np.clip(
-            (d_ * d_ + Dq_safe * Dq_safe - r_ * r_) / (2.0 * d_ * Dq_safe), -1.0, 1.0
-        )
-        sin_delta = np.sqrt(1.0 - cos_delta * cos_delta)
-        parts.append(np.clip(cos_a * cos_delta + sin_a * sin_delta, -1.0, 1.0))
-        parts.append(np.clip(cos_a * cos_delta - sin_a * sin_delta, -1.0, 1.0))
+    dd, rr, d2 = d_ * d_, r * r, 2.0 * d_
+    cos_d, sin_d, tmp = (np.empty((C, B)) for _ in range(3))
+    for k, cz in ((4, z0), (6, z1)):
+        Dq = np.maximum(np.hypot(cz, R), 1e-300)[:, None]  # (C, 1) pivot-to-corner distance
+        cos_a = cz[:, None] / Dq
+        sin_a = R[:, None] / Dq
+        np.add(dd, Dq * Dq, out=cos_d)
+        np.subtract(cos_d, rr, out=cos_d)
+        np.divide(cos_d, np.multiply(d2, Dq, out=tmp), out=cos_d)
+        np.clip(cos_d, -1.0, 1.0, out=cos_d)
+        np.multiply(cos_d, cos_d, out=sin_d)
+        np.sqrt(np.subtract(1.0, sin_d, out=sin_d), out=sin_d)
+        np.multiply(cos_a, cos_d, out=cos_d)
+        np.multiply(sin_a, sin_d, out=sin_d)
+        np.add(cos_d, sin_d, out=part[k])
+        np.subtract(cos_d, sin_d, out=part[k + 1])
+    corners = rows[4 * C : 8 * C]
+    np.clip(corners, -1.0, 1.0, out=corners)
+    rows[-2] = 1.0
+    rows[-1] = -1.0
 
-    cand = np.concatenate(parts, axis=1)  # (B, 8C)
-    ends = np.broadcast_to(np.array([1.0, -1.0]), (B, 2))
-    return np.concatenate([cand, ends], axis=1)
+    cand = np.empty((B, 8 * C + 2))
+    np.negative(rows.T, out=cand)
+    cand.sort(axis=1)
+    return np.negative(cand, out=cand)
 
 
 def ica_bounds_cos(
@@ -143,8 +212,9 @@ def ica_bounds_cos(
       inaccessible).
 
     Batches larger than ``chunk`` are processed in slices so the
-    ``(B, 8C+1, C)`` membership intermediates stay cache-sized instead of
-    ballooning to hundreds of MB on deep traversal frontiers.
+    ``(B, 8C+2)`` candidate and selection arrays stay bounded on deep
+    traversal frontiers; membership inside a slice runs in
+    :data:`MEMBER_BLOCK`-row blocks.
     """
     z0 = np.atleast_1d(np.asarray(z0, dtype=np.float64))
     z1 = np.atleast_1d(np.asarray(z1, dtype=np.float64))
@@ -166,8 +236,7 @@ def ica_bounds_cos(
             lo[sl], hi[sl] = ica_bounds_cos(z0, z1, R, d[sl], r[sl], chunk=chunk)
         return lo.reshape(shape), hi.reshape(shape)
 
-    # Descending cosine == ascending angle.
-    cand = -np.sort(-_candidate_cos(z0, z1, R, d, r), axis=1)  # (B, K)
+    cand = _sorted_candidates(z0, z1, R, d, r)  # (B, K)
     mids = 0.5 * (cand[:, :-1] + cand[:, 1:])  # interior cos samples
     member = _member_cos(z0, z1, R, d, r, mids)  # (B, K-1)
 
@@ -219,7 +288,7 @@ def inaccessible_intervals(tool: Tool, dist: float, sphere_r: float) -> list[tup
     """
     d = np.asarray([float(dist)])
     r = np.asarray([float(sphere_r)])
-    cand = -np.sort(-_candidate_cos(tool.z0, tool.z1, tool.radius, d, r), axis=1)
+    cand = _sorted_candidates(tool.z0, tool.z1, tool.radius, d, r)
     mids = 0.5 * (cand[:, :-1] + cand[:, 1:])
     member = _member_cos(tool.z0, tool.z1, tool.radius, d, r, mids)[0]
     edges = np.arccos(np.clip(cand[0], -1.0, 1.0))

@@ -6,6 +6,11 @@ every method, with metrics and trace reports that a serial run's
 consumers can read unchanged.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -114,6 +119,66 @@ class TestSharedScene:
         shared = SharedScene.create(sphere_scene.tree)
         shared.destroy()
         shared.destroy()
+
+    @pytest.mark.parametrize("order", ["pool-first", "arena-first"])
+    def test_arena_survives_pool_shutdown(self, order):
+        """Workers that attach must not take the block with them on exit.
+
+        With the pool's workers forked before the parent's first arena,
+        no resource tracker runs yet when they fork, so an attach that
+        registered the block would start one tracker per worker, and on
+        shutdown each would unlink the parent's live block as "leaked".
+        Runs in a fresh interpreter so that no tracker is running at the
+        start.
+        """
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _ARENA_SURVIVES, order],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "arena survived" in proc.stdout
+        assert "resource_tracker" not in proc.stderr, proc.stderr[-2000:]
+        assert "leaked" not in proc.stderr, proc.stderr[-2000:]
+
+
+_ARENA_SURVIVES = """
+import sys
+from multiprocessing import shared_memory
+
+import numpy as np
+
+from repro.cd.methods import AICA
+from repro.cd.pathrun import run_along_path
+from repro.engine.pool import SharedScene, WorkerPool, use_pool
+from repro.geometry.aabb import AABB
+from repro.geometry.orientation import OrientationGrid
+from repro.octree.build import build_from_sdf, expand_top
+from repro.solids.sdf import SphereSDF
+from repro.tool.tool import paper_tool
+
+domain = AABB((-40.0, -40.0, -40.0), (40.0, 40.0, 40.0))
+tree = expand_top(build_from_sdf(SphereSDF((0, 0, 0), 20.0), domain, 16), 3)
+if sys.argv[1] == "pool-first":
+    pool = WorkerPool(2)
+    pool.map(abs, [0, 0])  # fork both workers now
+    arena = SharedScene.create(tree)
+else:
+    arena = SharedScene.create(tree)
+    pool = WorkerPool(2)
+    pool.map(abs, [0, 0])
+pivots = np.array([[0.0, 0.0, 21.0], [0.0, 0.0, 22.0], [0.0, 1.0, 21.0], [1.0, 0.0, 21.0]])
+with use_pool(pool):
+    run_along_path(tree, paper_tool(), pivots, OrientationGrid.square(4), AICA(),
+                   workers=2, shared=arena)
+pool.shutdown()
+shared_memory.SharedMemory(name=arena.manifest["shm"]).close()  # FileNotFoundError if unlinked
+arena.destroy()
+print("arena survived")
+"""
 
 
 class TestRunCdEquivalence:
