@@ -8,6 +8,13 @@ array for each of the five methods on the ``sphere_scene`` and
 ``head_scene`` fixtures at one fixed grid.  The test recomputes them
 under both engines, serial and pooled.
 
+The same file pins the voxel-per-thread pricer
+(:func:`repro.cd.mapping.run_voxel_mapping`, the Section 4.1 mapping
+ablation): a SHA-256 of its ``collides`` and per-voxel-thread
+``thread_ops`` for each method on ``sphere_scene``.  That pricer drives
+the methods' kernels with waves of its own, so the traversal digests
+above do not cover it.
+
 Regenerate (only when a change is meant to move the numbers, and say so in
 CHANGES.md)::
 
@@ -23,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cd.mapping import run_voxel_mapping
 from repro.cd.methods import METHODS
 from repro.cd.traversal import TraversalConfig, run_cd
 from repro.engine.counters import ThreadCounters
@@ -50,6 +58,17 @@ def compute_digests(scene, *, engine: str = "v2", workers: int = 1) -> dict[str,
     }
 
 
+def voxel_mapping_digests(scene) -> dict[str, str]:
+    grid = OrientationGrid.square(GRID_L)
+    out = {}
+    for cls in METHODS:
+        r = run_voxel_mapping(scene, grid, cls())
+        h = hashlib.sha256(r.collides.tobytes())
+        h.update(r.thread_ops.tobytes())
+        out[cls.name] = h.hexdigest()
+    return out
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
@@ -69,6 +88,12 @@ def test_digests_match_golden(request, golden, scene_name, engine, workers):
     scene = request.getfixturevalue(scene_name)
     got = compute_digests(scene, engine=engine, workers=workers)
     assert got == golden["digests"][scene_name]
+
+
+def test_voxel_mapping_digests_match_golden(sphere_scene, golden):
+    section = golden["voxel_mapping"]
+    assert section["grid"] == GRID_L and section["scene"] == "sphere_scene"
+    assert voxel_mapping_digests(sphere_scene) == section["digests"]
 
 
 def _build_scenes() -> dict:
@@ -97,6 +122,12 @@ if __name__ == "__main__":
         "grid": GRID_L,
         "digest": "sha256(collides.tobytes() + COUNTER_FIELDS arrays in order)",
         "digests": {name: compute_digests(scene, engine="v1") for name, scene in scenes.items()},
+        "voxel_mapping": {
+            "grid": GRID_L,
+            "scene": "sphere_scene",
+            "digest": "sha256(collides.tobytes() + thread_ops.tobytes())",
+            "digests": voxel_mapping_digests(scenes["sphere_scene"]),
+        },
     }
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
