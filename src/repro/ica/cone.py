@@ -241,14 +241,17 @@ def ica_bounds_cos(
     member = _member_cos(z0, z1, R, d, r, mids)  # (B, K-1)
 
     # Supremum of the inaccessible set: the far (smaller-cos) edge of the
-    # last member segment; cos 0 = 1 when the set is empty.
-    cos_hi = np.min(np.where(member, cand[:, 1:], COS_NEVER), axis=1)
-    cos_hi = np.where(cos_hi == COS_NEVER, 1.0, cos_hi)
+    # last member segment; cos 0 = 1 when the set is empty.  Picked by
+    # index, not by a min over member edges: at a sphere exactly on the
+    # top line the edges +0.0 and -0.0 tie, and a SIMD min may return
+    # either sign, while the index names one candidate.
+    row = np.arange(len(d))
+    last = member.shape[1] - 1 - np.argmax(member[:, ::-1], axis=1)
+    cos_hi = np.where(member.any(axis=1), cand[row, last + 1], 1.0)
 
     # End of the member run starting at theta = 0.
     first_false = np.argmax(~member, axis=1)
     all_true = member.all(axis=1)
-    row = np.arange(len(d))
     cos_lo = np.where(all_true, -1.0, cand[row, first_false])
     cos_lo = np.where(member[:, 0], cos_lo, COS_NEVER)
 

@@ -11,10 +11,13 @@ distances where candidates coincide or degenerate, for point spheres,
 and at batch sizes on either side of the block and chunk boundaries.
 
 ``np.array_equal`` is exact except for the sign of a zero, and that
-exception is forced: at an exact tie between the candidates ``+0.0`` and
-``-0.0`` (a distance exactly on the top line), ``cos_hi`` is the ``min``
-of both, and numpy's SIMD ``min`` reduction returns either one depending
-on the buffer's address.  The reference disagrees with itself there too.
+exception is forced: the reference takes ``cos_hi`` as the ``min`` over
+the member segments' far edges, and at an exact tie between the
+candidates ``+0.0`` and ``-0.0`` (a distance exactly on the top line)
+numpy's SIMD ``min`` reduction may return either one.  The kernel picks
+the last member segment's far edge by index instead, which is
+value-equal and names one candidate; the top-line test below holds it
+to the same bytes wherever the row sits in the batch.
 """
 
 from __future__ import annotations
@@ -155,3 +158,37 @@ def test_default_chunk_boundary_matches_reference():
         want = reference_bounds_cos(tool.z0, tool.z1, tool.radius, d[sl], r[sl])
         assert np.array_equal(got[0][sl], want[0])
         assert np.array_equal(got[1][sl], want[1])
+
+
+
+def _bits(x: np.ndarray) -> set[int]:
+    return set(np.ascontiguousarray(x).view(np.uint64).tolist())
+
+
+def test_top_line_tie_gives_the_same_signed_zero_at_every_offset():
+    """A sphere exactly on the top line (``d = R + r``) ties the candidates
+    ``+0.0`` and ``-0.0``; ``cos_hi`` must come out as the same bytes, sign
+    bit included, whatever rows precede or follow it and across a chunk
+    boundary."""
+    for n_cyl in (1, 2, 3, 4):
+        tool = Tool.from_segments([(2.0, 10.0)] * n_cyl)
+        z0, z1, R = tool.z0, tool.z1, tool.radius
+        cand = _sorted_candidates(z0, z1, R, np.array([3.0]), np.array([1.0]))[0]
+        assert _bits(cand[cand == 0.0]) == _bits(np.array([0.0, -0.0]))
+
+        lo_bits, hi_bits = set(), set()
+        for before in range(10):
+            for after in (0, 1, 5):
+                d = np.concatenate([np.linspace(30.0, 60.0, before), [3.0], np.full(after, 45.0)])
+                r = np.concatenate([np.full(before, 1.0), [1.0], np.full(after, 2.0)])
+                for chunk in (4, 65536):
+                    lo, hi = ica_bounds_cos(z0, z1, R, d, r, chunk=chunk)
+                    lo_bits |= _bits(lo[before : before + 1])
+                    hi_bits |= _bits(hi[before : before + 1])
+        lo, hi = ica_bounds_cos(
+            z0, z1, R, np.full(MEMBER_BLOCK + 1, 3.0), np.ones(MEMBER_BLOCK + 1)
+        )
+        lo_bits |= _bits(lo)
+        hi_bits |= _bits(hi)
+        assert hi_bits <= _bits(np.array([0.0, -0.0]))
+        assert len(lo_bits) == 1 and len(hi_bits) == 1, (n_cyl, lo_bits, hi_bits)
