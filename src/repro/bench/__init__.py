@@ -10,6 +10,7 @@ alongside the measured ones so the report renderer
 what EXPERIMENTS.md records.
 """
 
+from repro.bench.calibration import calibrate_ms, fresh_calibrate_ms
 from repro.bench.config import BenchScale, current_scale
 from repro.bench.runner import build_workload, run_workload, Workload
 from repro.bench.render import render_table, render_series
@@ -18,6 +19,8 @@ from repro.bench import experiments
 __all__ = [
     "BenchScale",
     "current_scale",
+    "calibrate_ms",
+    "fresh_calibrate_ms",
     "build_workload",
     "run_workload",
     "Workload",

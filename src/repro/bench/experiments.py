@@ -27,6 +27,7 @@ ablation_costs / ablation_warp / ablation_start_level: design choices
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass, field
 
@@ -729,27 +730,32 @@ def ablation_start_level(scale: BenchScale | None = None) -> ExperimentResult:
 
 
 def wallclock(scale: BenchScale | None = None) -> ExperimentResult:
-    """Host wall-clock: frontier engine v1 vs v2 at the fig16 data point.
+    """Host wall-clock of the traversal at the fig16 data point.
 
     Unlike every other experiment (which reports *simulated-GPU*
     milliseconds from the counter cost model), this one times the actual
-    Python host loop: each method runs serially under both engines on
-    the head model at the scale's default resolution and map, with a
-    prebuilt ICA table shared by both runs so only the traversal is
-    timed.  Each (method, engine) cell is the best of ``_WALLCLOCK_REPS``
-    repetitions — min, not mean, is the right statistic for wall-clock
-    gating since noise is strictly additive.
+    Python host loop: each method runs serially on the head model at the
+    scale's default resolution and map, with a prebuilt ICA table so only
+    the traversal is timed.  Each method's time is the best of
+    ``_WALLCLOCK_REPS`` repetitions — min, not mean, is the right
+    statistic for wall-clock gating since noise is strictly additive.
 
-    The experiment also *asserts* the engines' equivalence contract on
-    every method: byte-identical accessibility maps and per-thread
-    counters.  A committed baseline (``BENCH_wallclock.json``) is
-    compared in CI with ``repro-bench compare``: the ``*_s`` metrics
-    gate wall-clock regressions at a generous threshold, the ``.pairs``
-    counters gate counter drift exactly.
+    Times are also reported in calibration units: ms ÷ the median of
+    :func:`~repro.bench.calibration.fresh_calibrate_ms` sampled before
+    each method and once after the last.  The kernel is memory-bound and
+    single samples on a shared host stray by up to 40%, so the samples
+    are spread over the run and the median is kept.  The speedup
+    of each method is its frozen control in :data:`V1_UNITS` over its
+    units today.  Scales without a frozen control report no speedup.  A
+    committed baseline (``BENCH_wallclock.json``) is compared in CI with
+    ``repro-bench compare``: the ``*_s`` metrics gate wall-clock
+    regressions at a generous threshold, the ``.pairs`` counters gate
+    counter drift exactly.  The experiment also asserts that all methods
+    return the same map.
     """
     scale = scale or current_scale()
+    from repro.bench.calibration import fresh_calibrate_ms
     from repro.cd.traversal import run_cd
-    from repro.engine.counters import ThreadCounters
     from repro.ica.table import build_ica_table
     from repro.obs.metrics import get_metrics
 
@@ -759,68 +765,81 @@ def wallclock(scale: BenchScale | None = None) -> ExperimentResult:
     table = build_ica_table(
         scene.tree, scene.tool, scene.pivot, levels=TraversalConfig().memo_levels
     )
+    control = V1_UNITS.get(scale.name, {})
 
-    metrics = get_metrics()
-    rows = []
-    speedups: dict[str, float] = {}
+    calibs = []
+    timed = []
     for cls in _METHOD_ORDER:
         method = cls()
-        results = {}
-        best = {}
-        for engine in ("v1", "v2"):
-            cfg = TraversalConfig(engine=engine)
-            t = None
-            for _ in range(_WALLCLOCK_REPS):
-                t0 = time.perf_counter()
-                r = run_cd(scene, grid, method, config=cfg, table=table, workers=1)
-                dt = time.perf_counter() - t0
-                t = dt if t is None else min(t, dt)
-            results[engine] = r
-            best[engine] = t
-        r1, r2 = results["v1"], results["v2"]
-        assert np.array_equal(r1.collides, r2.collides), (
-            f"{method.name}: v1/v2 maps differ"
-        )
-        for f in ThreadCounters.COUNTER_FIELDS:
-            assert np.array_equal(getattr(r1.counters, f), getattr(r2.counters, f)), (
-                f"{method.name}: v1/v2 counter {f} differs"
-            )
-        pairs = int(r2.counters.nodes_visited.sum())
-        speedup = best["v1"] / best["v2"]
-        speedups[method.name] = speedup
-        m = method.name
-        metrics.counter(f"wallclock.{m}.v1_s").inc(best["v1"])
-        metrics.counter(f"wallclock.{m}.v2_s").inc(best["v2"])
+        calibs.append(fresh_calibrate_ms())
+        best = None
+        for _ in range(_WALLCLOCK_REPS):
+            t0 = time.perf_counter()
+            r = run_cd(scene, grid, method, table=table, workers=1)
+            dt = time.perf_counter() - t0
+            best = dt if best is None else min(best, dt)
+        timed.append((method.name, best, r))
+        assert np.array_equal(r.collides, timed[0][2].collides), f"{method.name}: map differs"
+    calibs.append(fresh_calibrate_ms())
+    calib_ms = statistics.median(calibs)
+
+    metrics = get_metrics()
+    metrics.gauge("wallclock.calib_ms").set(calib_ms)
+    rows = []
+    speedups: dict[str, float] = {}
+    for m, best, r in timed:
+        pairs = int(r.counters.nodes_visited.sum())
+        units = best * 1e3 / calib_ms
+        metrics.counter(f"wallclock.{m}.run_s").inc(best)
         metrics.counter(f"wallclock.{m}.pairs").inc(pairs)
-        metrics.gauge(f"wallclock.{m}.speedup").set(speedup)
+        metrics.gauge(f"wallclock.{m}.units").set(units)
+        speedup = None
+        if m in control:
+            speedup = speedups[m] = control[m] / units
+            metrics.gauge(f"wallclock.{m}.speedup").set(speedup)
         rows.append(
             [
                 m,
                 pairs,
-                round(best["v1"] * 1e3, 1),
-                round(best["v2"] * 1e3, 1),
-                round(pairs / best["v2"] / 1e6, 2),
-                round(speedup, 2),
+                round(best * 1e3, 1),
+                round(units, 1),
+                control.get(m),
+                round(pairs / best / 1e6, 2),
+                None if speedup is None else round(speedup, 2),
             ]
         )
     return ExperimentResult(
         exp_id="wallclock",
         title=(
-            f"Frontier engine v1 vs v2 wall-clock (head {scale.default_resolution}^3, "
-            f"map {scale.default_map}^2, serial, "
-            f"best of {_WALLCLOCK_REPS})"
+            f"Traversal wall-clock (head {scale.default_resolution}^3, "
+            f"map {scale.default_map}^2, serial, best of {_WALLCLOCK_REPS}; "
+            f"calib {calib_ms:.2f} ms)"
         ),
-        headers=["method", "pairs", "v1 ms", "v2 ms", "v2 Mpairs/s", "v2/v1 speedup"],
+        headers=["method", "pairs", "ms", "units", "v1 units", "Mpairs/s", "speedup"],
         rows=rows,
-        extras={"speedups": speedups},
-        notes="Wall-clock of the host traversal loop, not simulated-GPU ms; "
-        "maps and per-thread counters are asserted byte-identical across "
-        "engines before timing is reported.",
+        extras={"speedups": speedups, "calib_ms": calib_ms},
+        notes="Wall-clock of the host traversal loop, not simulated-GPU ms. "
+        "units = ms / calib ms; speedup = frozen v1 units / units."
+        + ("" if control else f" No frozen v1 control at scale {scale.name}."),
     )
 
 
-#: Wall-clock repetitions per (method, engine) cell; the minimum is kept.
+#: Wall-clock repetitions per method; the minimum is kept.
 _WALLCLOCK_REPS = 3
+
+#: The control of the wall-clock gate: the former straight-line reference
+#: traversal ("v1", removed once golden digests and the brute-force fuzz
+#: covered its role as an oracle), frozen in calibration units.  Each
+#: value is v1's best-of-3 serial ``run_cd`` ms (head model at the
+#: scale's default resolution and map, prebuilt ICA table) divided by
+#: ``fresh_calibrate_ms()`` from the same run; median of 7 runs (5 at
+#: ``medium``) at commit 2db2291, the parent of the removal, on a 2-core
+#: x86-64 VM (Python 3.11, numpy 2.4).
+V1_UNITS: dict[str, dict[str, float]] = {
+    "smoke": {"PBox": 43.4, "PBoxOpt": 62.1, "PICA": 27.7, "MICA": 19.7, "AICA": 21.0},
+    "small": {"PBox": 204.5, "PBoxOpt": 265.3, "PICA": 125.2, "MICA": 93.4, "AICA": 70.0},
+    "medium": {"PBox": 993.1, "PBoxOpt": 1413.4, "PICA": 569.3, "MICA": 473.1, "AICA": 387.2},
+}
 
 
 ALL_EXPERIMENTS = {

@@ -31,7 +31,7 @@ def _box_check(rt: Runtime, wave: Wave, mask: np.ndarray) -> np.ndarray:
     """Exact whole-tool CHECKBOX on the masked pairs; returns (F,) bool
     (False outside the mask) and charges one box check per tested pair.
 
-    Under the v2 engine (``wave.ctx`` set) the per-pair tool frames are
+    When the wave has a level context the per-pair tool frames are
     gathered from the block's per-thread frame cache instead of being
     rebuilt inside the kernel — the frame depends only on the thread's
     direction, and :func:`repro.geometry.frames.frame_from_axis` is
@@ -147,13 +147,13 @@ class PBoxOpt:
             flat = ctx.pair_flat()[wave.offset : wave.offset + wave.size]
             possible = np.take(ctx.cull_panel().reshape(-1), flat)
         else:
-            possible = self._cull_v2(rt, wave, ctx)
+            possible = self._cull_pairs(rt, wave, ctx)
         rt.counters.add_threads("cull_checks", wave.threads, rt.counters.n_threads)
         hit = _box_check(rt, wave, possible)
         return np.where(hit, OUT_YES, OUT_NO)
 
     @staticmethod
-    def _cull_v2(rt: Runtime, wave: Wave, ctx) -> np.ndarray:
+    def _cull_pairs(rt: Runtime, wave: Wave, ctx) -> np.ndarray:
         """The AABB cull against per-thread cylinder boxes hoisted per block.
 
         The cylinder AABBs depend only on (pivot, dir), so the block
@@ -199,94 +199,41 @@ class _IcaBase:
     needs_table = False
 
     def decide(self, rt: Runtime, wave: Wave) -> np.ndarray:
-        if wave.ctx is not None:
-            if wave.ctx.use_panels:
-                return self._decide_panel(rt, wave)
-            return self._decide_v2(rt, wave)
-        return self._decide_ref(rt, wave)
+        if wave.ctx is not None and wave.ctx.use_panels:
+            return self._decide_panel(rt, wave)
+        return self._decide_pairs(rt, wave)
 
-    def _decide_ref(self, rt: Runtime, wave: Wave) -> np.ndarray:
-        """The v1 reference kernel: everything computed per (sub-)wave."""
-        scene = rt.scene
-        n_threads = rt.counters.n_threads
+    def _decide_pairs(self, rt: Runtime, wave: Wave) -> np.ndarray:
+        """The per-pair kernel: one CHECKICA per (thread, node) pair.
 
-        rel = wave.centers - scene.pivot
-        dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))
-        safe = np.maximum(dist, 1e-300)
-        # Compare in cosine space throughout: theta <= ica  <=>  cos_angle
-        # >= cos(ica), and the dot product gives the cosine for free.
-        cos_angle = np.clip(np.einsum("ij,ij->i", wave.dirs, rel) / safe, -1.0, 1.0)
-        cos_angle = np.where(dist == 0.0, 1.0, cos_angle)
-
-        cos1 = np.empty(wave.size)
-        cos2 = np.empty(wave.size)
-
-        memo = np.zeros(wave.size, dtype=bool)
-        if self.use_memo and rt.table is not None and rt.table.has_level(wave.level):
-            memo = wave.idx >= 0
-        if memo.any():
-            cos1[memo], cos2[memo] = rt.table.lookup(wave.level, wave.idx[memo])
-            rt.counters.add_threads("ica_memo_checks", wave.threads[memo], n_threads)
-        fly = ~memo
-        if fly.any():
-            # The cone bounds depend only on (node center distance, cell
-            # size), not on the thread, so compute once per unique node and
-            # gather — a wall-clock dedup only; the simulated cost stays
-            # per-pair (each GPU thread of PICA really does recompute its
-            # own ICA, which is exactly the redundancy MICA's table removes).
-            tool = scene.tool
-            uniq, inverse = np.unique(wave.codes[fly], return_inverse=True)
-            first = np.zeros(len(uniq), dtype=np.intp)
-            first[inverse[::-1]] = np.nonzero(fly)[0][::-1]
-            du = dist[first]
-            lo, _ = ica_bounds_cos(
-                tool.z0, tool.z1, tool.radius, du, np.full(len(uniq), wave.half)
-            )
-            _, hi = ica_bounds_cos(
-                tool.z0, tool.z1, tool.radius, du, np.full(len(uniq), SQRT3 * wave.half)
-            )
-            cos1[fly] = lo[inverse]
-            cos2[fly] = hi[inverse]
-            rt.counters.add_threads("ica_fly_checks", wave.threads[fly], n_threads)
-
-        yes = cos_angle >= cos1
-        no = ~yes & (cos_angle <= cos2)
-        corner = ~yes & ~no
-        if corner.any():
-            rt.counters.add_threads("corner_cases", wave.threads[corner], n_threads)
-
-        outcomes = np.full(wave.size, OUT_NO, dtype=np.uint8)
-        outcomes[yes] = OUT_YES
-
-        if self.expand_corners and wave.level < scene.tree.depth:
-            outcomes[corner] = OUT_EXPAND
-        elif corner.any():
-            hit = _box_check(rt, wave, corner)
-            outcomes[corner & hit] = OUT_YES
-        return outcomes
-
-    def _decide_v2(self, rt: Runtime, wave: Wave) -> np.ndarray:
-        """The v2 kernel: per-node quantities come from the level context.
-
-        Distances and cone bounds are gathered from
-        :class:`~repro.cd.traversal.LevelContext` (computed once per
+        Distances and cone bounds depend only on the node.  When the wave
+        has a level context they are gathered from it (computed once per
         (block, level) over unique nodes instead of once per pair per
-        chunk); only the genuinely per-pair dot product ``dir . rel``
-        remains in the loop, evaluated into workspace buffers.  Every
-        gathered value is bit-equal to what :meth:`_decide_ref` computes
-        in place, and counters are charged with the same per-pair masks,
-        so outcomes and counters are byte-identical.
+        chunk); otherwise :meth:`_inline_bounds` computes them for this
+        wave's unique codes.  Both give bit-equal values, so outcomes and
+        counters do not depend on which source ran.  Only the per-pair
+        dot product ``dir . rel`` is evaluated here, into workspace
+        buffers.
         """
         scene = rt.scene
-        n_threads = rt.counters.n_threads
-        ctx = wave.ctx
         ws = rt.workspace
         n = wave.size
-        sl = slice(wave.offset, wave.offset + n)
-
-        dist = ctx.pair_dist()[sl]
         rel = ws.take("ica.rel", (n, 3))
         np.subtract(wave.centers, scene.pivot, out=rel)
+        ctx = wave.ctx
+        if ctx is not None:
+            sl = slice(wave.offset, wave.offset + n)
+            dist = ctx.pair_dist()[sl]
+            cos1, cos2, memo_stored = ctx.cos_bounds(self.use_memo)
+            cos1, cos2 = cos1[sl], cos2[sl]
+        else:
+            dist = ws.take("ica.dist", n)
+            np.einsum("ij,ij->i", rel, rel, out=dist)
+            np.sqrt(dist, out=dist)
+            cos1, cos2, memo_stored = self._inline_bounds(rt, wave, dist)
+
+        # Compare in cosine space throughout: theta <= ica  <=>  cos_angle
+        # >= cos(ica), and the dot product gives the cosine for free.
         cos_angle = ws.take("ica.cos_angle", n)
         np.einsum("ij,ij->i", wave.dirs, rel, out=cos_angle)
         safe = ws.take("ica.safe", n)
@@ -295,35 +242,46 @@ class _IcaBase:
         np.clip(cos_angle, -1.0, 1.0, out=cos_angle)
         cos_angle[dist == 0.0] = 1.0
 
-        cos1_full, cos2_full, memo_stored = ctx.cos_bounds(self.use_memo)
-        cos1 = cos1_full[sl]
-        cos2 = cos2_full[sl]
-
-        if memo_stored:
-            memo = wave.idx >= 0
-        else:
-            memo = np.zeros(n, dtype=bool)
-        if memo.any():
-            rt.counters.add_threads("ica_memo_checks", wave.threads[memo], n_threads)
-        fly = ~memo
-        if fly.any():
-            rt.counters.add_threads("ica_fly_checks", wave.threads[fly], n_threads)
-
         yes = cos_angle >= cos1
         no = ~yes & (cos_angle <= cos2)
         corner = ~yes & ~no
-        if corner.any():
-            rt.counters.add_threads("corner_cases", wave.threads[corner], n_threads)
-
         outcomes = np.full(n, OUT_NO, dtype=np.uint8)
         outcomes[yes] = OUT_YES
-
-        if self.expand_corners and wave.level < scene.tree.depth:
+        if self._expands(rt, wave):
             outcomes[corner] = OUT_EXPAND
-        elif corner.any():
-            hit = _box_check(rt, wave, corner)
-            outcomes[corner & hit] = OUT_YES
-        return outcomes
+        return self._charge_and_settle(rt, wave, outcomes, corner, memo_stored)
+
+    def _inline_bounds(self, rt: Runtime, wave: Wave, dist: np.ndarray):
+        """Per-pair cone bounds ``(cos1, cos2, memo_stored)`` without a context.
+
+        Stored pairs at a memoized level read the stage-1 table; every
+        other pair gets on-the-fly bounds, computed once per unique code
+        and gathered.  That dedup saves host time only: the simulated
+        cost stays per pair (each GPU thread of PICA really does
+        recompute its own ICA, which is exactly the redundancy MICA's
+        table removes).
+        """
+        n = wave.size
+        cos1 = np.empty(n)
+        cos2 = np.empty(n)
+        memo_stored = bool(
+            self.use_memo and rt.table is not None and rt.table.has_level(wave.level)
+        )
+        memo = wave.idx >= 0 if memo_stored else np.zeros(n, dtype=bool)
+        if memo.any():
+            cos1[memo], cos2[memo] = rt.table.lookup(wave.level, wave.idx[memo])
+        fly = np.flatnonzero(~memo)
+        if len(fly):
+            tool = rt.scene.tool
+            _, first, inverse = np.unique(
+                wave.codes[fly], return_index=True, return_inverse=True
+            )
+            du = dist[fly[first]]
+            lo, _ = ica_bounds_cos(tool.z0, tool.z1, tool.radius, du, wave.half)
+            _, hi = ica_bounds_cos(tool.z0, tool.z1, tool.radius, du, SQRT3 * wave.half)
+            cos1[fly] = lo[inverse]
+            cos2[fly] = hi[inverse]
+        return cos1, cos2, memo_stored
 
     def _decide_panel(self, rt: Runtime, wave: Wave) -> np.ndarray:
         """The panel kernel: the full (unique node x block thread) CHECKICA
@@ -332,24 +290,32 @@ class _IcaBase:
         The panel einsum accumulates ``rel . dir`` over the coordinate
         axis in the same order as the per-pair einsum, so the gathered
         cosines — and therefore outcomes — are bit-equal to
-        :meth:`_decide_v2`.  Counters are charged with the same per-pair
-        masks in the same order (memo, fly, corner, box).
+        :meth:`_decide_pairs`.  Counters are charged with the same
+        per-pair masks.
         """
         ctx = wave.ctx
-        n = wave.size
-        sl = slice(wave.offset, wave.offset + n)
+        sl = slice(wave.offset, wave.offset + wave.size)
         out_mat, corner_mat, memo_stored = ctx.ica_outcome_panel(
             self.use_memo, self.expand_corners
         )
         flat = ctx.pair_flat()[sl]
         outcomes = np.take(out_mat.reshape(-1), flat)
         corner = np.take(corner_mat.reshape(-1), flat)
+        return self._charge_and_settle(rt, wave, outcomes, corner, memo_stored)
 
+    def _expands(self, rt: Runtime, wave: Wave) -> bool:
+        """Whether this wave's corner cases are expanded (AICA above leaf level)."""
+        return self.expand_corners and wave.level < rt.scene.tree.depth
+
+    def _charge_and_settle(self, rt, wave, outcomes, corner, memo_stored) -> np.ndarray:
+        """Charge one CHECKICA per pair and settle the corner band.
+
+        Each pair costs one ``ica_memo`` event when it is stored at a
+        memoized level, else one ``ica_fly`` event; each corner case is
+        counted.  Corners that are not expanded get the exact CHECKBOX.
+        """
         n_threads = rt.counters.n_threads
-        if memo_stored:
-            memo = wave.idx >= 0
-        else:
-            memo = np.zeros(n, dtype=bool)
+        memo = wave.idx >= 0 if memo_stored else np.zeros(wave.size, dtype=bool)
         if memo.any():
             rt.counters.add_threads("ica_memo_checks", wave.threads[memo], n_threads)
         fly = ~memo
@@ -357,12 +323,9 @@ class _IcaBase:
             rt.counters.add_threads("ica_fly_checks", wave.threads[fly], n_threads)
         if corner.any():
             rt.counters.add_threads("corner_cases", wave.threads[corner], n_threads)
-
-        if self.expand_corners and wave.level < rt.scene.tree.depth:
-            pass  # corners are already OUT_EXPAND in the panel
-        elif corner.any():
-            hit = _box_check(rt, wave, corner)
-            outcomes[corner & hit] = OUT_YES
+            if not self._expands(rt, wave):
+                hit = _box_check(rt, wave, corner)
+                outcomes[corner & hit] = OUT_YES
         return outcomes
 
 

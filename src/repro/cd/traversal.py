@@ -28,7 +28,6 @@ memory stays bounded at any map resolution.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -40,7 +39,7 @@ from repro.engine.costs import CostModel, DEFAULT_COSTS
 from repro.engine.counters import StageBreakdown, ThreadCounters
 from repro.engine.device import DeviceSpec, GTX_1080_TI
 from repro.engine.simt import simulate_kernel, simulate_stage
-from repro.engine.workspace import Workspace, get_ambient_workspace
+from repro.engine.workspace import Workspace, export_workspace_metrics, get_ambient_workspace
 from repro.geometry.orientation import OrientationGrid
 from repro.ica.cone import ica_bounds_cos
 from repro.ica.table import SQRT3, IcaTable, build_ica_table
@@ -55,8 +54,6 @@ __all__ = [
     "Wave",
     "LevelContext",
     "run_cd",
-    "resolve_engine",
-    "ENGINES",
     "OUT_NO",
     "OUT_YES",
     "OUT_EXPAND",
@@ -65,33 +62,6 @@ __all__ = [
 OUT_NO = np.uint8(0)
 OUT_YES = np.uint8(1)
 OUT_EXPAND = np.uint8(2)
-
-#: The selectable frontier engines: ``v1`` is the straight-line
-#: allocating reference implementation, ``v2`` the workspace/dedup
-#: engine.  Both produce byte-identical maps and counters (asserted by
-#: the equivalence suite); v1 exists as the oracle and escape hatch.
-ENGINES = ("v1", "v2")
-
-
-def resolve_engine(value: str | None = None) -> str:
-    """The effective frontier engine: explicit > ``REPRO_ENGINE`` > ``v2``.
-
-    Both sources are normalized (stripped, lower-cased) before the
-    fallback decision, so an explicit value that is empty or
-    whitespace-only defers to the environment.  An invalid value raises
-    an error naming both the config field and the environment variable.
-    """
-    if value is not None:
-        value = str(value).strip().lower()
-    if not value:
-        value = os.environ.get("REPRO_ENGINE", "").strip().lower() or "v2"
-    if value not in ENGINES:
-        raise ValueError(
-            f"engine must be one of {ENGINES}, got {value!r} "
-            "(check REPRO_ENGINE or TraversalConfig.engine)"
-        )
-    return value
-
 
 @dataclass(frozen=True)
 class TraversalConfig:
@@ -111,12 +81,6 @@ class TraversalConfig:
     processes via :mod:`repro.engine.pool`, and ``None`` (the default)
     defers to the ``REPRO_WORKERS`` environment variable (itself
     defaulting to 1).  Results are byte-identical for any worker count.
-
-    ``engine`` picks the frontier implementation: ``"v2"`` (workspace
-    reuse + cross-pair dedup, the default) or ``"v1"`` (the allocating
-    reference path).  ``None`` defers to ``REPRO_ENGINE`` (default v2).
-    Maps and counters are byte-identical between engines — the choice
-    only affects host wall-clock time.
     """
 
     start_level: int = 5
@@ -124,20 +88,19 @@ class TraversalConfig:
     thread_block: int = 2048
     max_pairs: int = 4_000_000  # frontier chunking threshold inside a block
     workers: int | None = None  # None = resolve from REPRO_WORKERS (default 1)
-    engine: str | None = None  # None = resolve from REPRO_ENGINE (default v2)
 
 
 @dataclass
 class Wave:
     """One frontier level's pair arrays, as seen by a method's decide().
 
-    ``ctx`` — set only by the v2 engine — is the level's shared
-    :class:`LevelContext` (per-node / per-thread data hoisted out of the
-    per-pair kernels); ``offset`` is this (sub-)wave's start within the
-    context's full-level arrays (``_decide_chunked`` slices waves, and
-    chunk ``[a:b)`` of the level maps to ``ctx`` rows ``[a:b)``).  Waves
-    built without a context (v1, direct kernel tests, the voxel-mapping
-    pricer) take the methods' reference paths.
+    ``ctx`` is the level's shared :class:`LevelContext` (per-node /
+    per-thread data hoisted out of the per-pair kernels); ``offset`` is
+    this (sub-)wave's start within the context's full-level arrays
+    (``_decide_chunked`` slices waves, and chunk ``[a:b)`` of the level
+    maps to ``ctx`` rows ``[a:b)``).  The traversal always sets it;
+    waves built without one (the voxel-mapping pricer, direct kernel
+    tests) make the methods compute distances and cone bounds inline.
     """
 
     level: int
@@ -148,7 +111,7 @@ class Wave:
     centers: np.ndarray | None  # (F, 3) node centers (None in panel mode)
     half: float  # cell half-edge at `level`
     dirs: np.ndarray | None  # (F, 3) tool direction per pair (None in panel mode)
-    ctx: "LevelContext | None" = None  # v2: shared per-(block, level) data
+    ctx: "LevelContext | None" = None  # shared per-(block, level) data
     offset: int = 0  # start row of this sub-wave within ctx's arrays
 
     @property
@@ -160,9 +123,6 @@ class Wave:
 class Runtime:
     """Per-run shared state handed to the methods.
 
-    ``engine`` is the resolved frontier engine (see
-    :func:`resolve_engine`; an explicit value wins over
-    ``config.engine`` which wins over ``REPRO_ENGINE``).  Under v2,
     ``workspace`` is the buffer arena for wave arrays and kernel
     temporaries (the ambient one when installed, else a fresh private
     arena) and ``cache`` holds the run's deduplicated per-node and
@@ -176,35 +136,32 @@ class Runtime:
     config: TraversalConfig
     table: IcaTable | None = None
     all_dirs: np.ndarray = field(default=None)
-    engine: str | None = None
     workspace: Workspace | None = None
     cache: "_RunCache | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.all_dirs is None:
             self.all_dirs = self.grid.directions()
-        self.engine = resolve_engine(self.engine or self.config.engine)
-        if self.engine == "v2":
-            if self.workspace is None:
-                self.workspace = get_ambient_workspace() or Workspace()
-            if self.cache is None:
-                self.cache = _RunCache(self.scene)
+        if self.workspace is None:
+            self.workspace = get_ambient_workspace() or Workspace()
+        if self.cache is None:
+            self.cache = _RunCache(self.scene)
 
 
 class _RunCache:
     """One run's deduplicated geometry, shared across blocks and levels.
 
     Everything here is *recomputation elimination only*: each cached
-    array is produced by exactly the elementwise formula the v1 kernels
-    apply per pair, evaluated once per stored node (or once per thread
-    of a block) and gathered — so gathered values are bit-equal to the
-    per-pair originals, which is what keeps maps and counters
-    byte-identical between engines.
+    array is produced by exactly the elementwise formula a per-pair
+    kernel would apply, evaluated once per stored node (or once per
+    thread of a block) and gathered — so gathered values are bit-equal
+    to the per-pair originals, which is what keeps maps and counters
+    byte-identical whichever route a level takes.
 
     Per-level node caches are built lazily and only when the requesting
     frontier has at least as many pairs as the level has stored nodes
     (``want``): on narrow late-level frontiers computing every stored
-    node would cost more than the v1 per-pair path, so callers fall
+    node would cost more than the per-pair computation, so callers fall
     back to it (the *values* are identical either way).  Once built, a
     cache serves every later block, chunk and level revisit for free.
     """
@@ -243,7 +200,7 @@ class _RunCache:
         return c
 
     def level_dist(self, level: int, want: int) -> np.ndarray | None:
-        """Pivot distance of every stored node at ``level`` (v1's formula)."""
+        """Pivot distance of every stored node at ``level`` (the per-pair formula)."""
         d = self._dist.get(level)
         if d is None:
             centers = self.level_centers(level, want)
@@ -328,7 +285,7 @@ _PANEL_OVERSAMPLE = 2.0
 
 
 class LevelContext:
-    """Shared data of one (block, level) of the v2 engine, computed lazily.
+    """Shared data of one (block, level) of the traversal, computed lazily.
 
     One instance spans *every* ``decide`` chunk of a frontier level, so
     anything computed here — per-pair distances, CHECKICA cone bounds,
@@ -434,7 +391,7 @@ class LevelContext:
         return self._vsel, self._vuq, self._vinv
 
     def _virtual_dist(self) -> np.ndarray:
-        """Pivot distance per unique virtual node (v1's per-pair formula)."""
+        """Pivot distance per unique virtual node (the per-pair formula)."""
         if self._vdist is None:
             if self._vcenters is None:
                 _, vuq, _ = self._virtual()
@@ -450,8 +407,8 @@ class LevelContext:
 
         Dense path: gather the stored-node center cache through ``idx``
         and patch virtual rows from their unique codes.  Narrow path
-        (frontier smaller than the stored level): per-pair decode,
-        exactly the v1 expression.  Either way every row equals
+        (frontier smaller than the stored level): per-pair decode.
+        Either way every row equals
         ``centers_of_codes(level, codes)`` bit-for-bit.
         """
         rt = self.rt
@@ -464,7 +421,7 @@ class LevelContext:
             rt.cache.level_centers(self.level, self.n_stored) if self.n_stored else None
         )
         if self.n_stored and lev_centers is None:
-            # Narrow mixed frontier: per-pair decode, the v1 expression.
+            # Narrow mixed frontier: per-pair decode.
             out[:] = tree.centers_of_codes(self.level, self.codes)
         else:
             self._dense = True
@@ -478,7 +435,7 @@ class LevelContext:
         return out
 
     def pair_dist(self) -> np.ndarray:
-        """(F,) pivot distances per pair (lazy; v1's formula per node).
+        """(F,) pivot distances per pair (lazy; the per-pair formula per node).
 
         The dense path is pure gathering; the narrow path is the in-place
         per-pair einsum.
@@ -552,7 +509,7 @@ class LevelContext:
                     if len(vsel):
                         self._fill_virtual_bounds(cos1, cos2, vsel, vuq, vinv)
                 else:
-                    # Narrow frontier: v1's unique-by-code dedup over the
+                    # Narrow frontier: unique-by-code dedup over the
                     # whole (stored + virtual) wave in one pass.
                     uniq, inverse = np.unique(self.codes, return_inverse=True)
                     first = np.zeros(len(uniq), dtype=np.intp)
@@ -953,12 +910,12 @@ def _advance(
     surviving YES-on-MIXED / EXPAND pairs (stored children for MIXED,
     virtual FULL octants for FULL interior nodes).
 
-    ``ws_bank`` — v2 only — selects the workspace bank (the next level's
-    parity) the output arrays are written into, so the advance reads the
-    current level's arrays from one bank while filling the other and no
+    ``ws_bank`` selects the workspace bank (the next level's parity) the
+    output arrays are written into, so the advance reads the current
+    level's arrays from one bank while filling the other and no
     allocation happens.  Callers that hold outputs across multiple
     advances (the voxel-mapping pricer, direct tests) pass None and get
-    freshly allocated arrays, exactly as v1.
+    freshly allocated arrays.
     """
     tree = rt.scene.tree
     level = wave.level
@@ -1051,7 +1008,8 @@ def _decide_chunked(rt: Runtime, method, wave: Wave) -> np.ndarray:
     counters — only the peak size of the kernel's temporaries.
 
     **Counter purity.**  The byte-identity of chunked and unchunked runs
-    (and of the engines, and of any worker sharding) rests on a single
+    (and of the panel and per-pair routes, and of any worker sharding)
+    rests on a single
     invariant: *a decide() call charges counters for exactly the pairs
     of the wave it was handed* — never for other threads, never more
     than once per pair, never keyed off level-global state.  A method
@@ -1115,61 +1073,48 @@ def _traverse_range(
     tree = rt.scene.tree
     counters = rt.counters
     M = counters.n_threads
-    v2 = rt.engine == "v2"
     ws = rt.workspace
     n0 = len(base_codes)
     for t0 in range(t_start, t_end, rt.config.thread_block):
         t1 = min(t0 + rt.config.thread_block, t_end)
         block = np.arange(t0, t1, dtype=np.intp)
         B = len(block)
-        if v2:
-            # Broadcast-fill the (block x base) product straight into the
-            # level-parity bank of the frontier buffers (v1's repeat/tile
-            # without the per-block allocations).
-            bank = L0 & 1
-            threads = ws.take(f"frontier.threads.{bank}", B * n0, np.intp)
-            threads.reshape(B, n0)[:] = block[:, None]
-            codes = ws.take(f"frontier.codes.{bank}", B * n0, np.uint64)
-            codes.reshape(B, n0)[:] = base_codes[None, :]
-            idx = ws.take(f"frontier.idx.{bank}", B * n0, np.intp)
-            idx.reshape(B, n0)[:] = base_idx[None, :]
-            status = ws.take(f"frontier.status.{bank}", B * n0, np.uint8)
-            status.reshape(B, n0)[:] = base_status[None, :]
-        else:
-            threads = np.repeat(block, n0)
-            codes = np.tile(base_codes, B)
-            idx = np.tile(base_idx, B)
-            status = np.tile(base_status, B)
+        # Broadcast-fill the (block x base) product straight into the
+        # level-parity bank of the frontier buffers.
+        bank = L0 & 1
+        threads = ws.take(f"frontier.threads.{bank}", B * n0, np.intp)
+        threads.reshape(B, n0)[:] = block[:, None]
+        codes = ws.take(f"frontier.codes.{bank}", B * n0, np.uint64)
+        codes.reshape(B, n0)[:] = base_codes[None, :]
+        idx = ws.take(f"frontier.idx.{bank}", B * n0, np.intp)
+        idx.reshape(B, n0)[:] = base_idx[None, :]
+        status = ws.take(f"frontier.status.{bank}", B * n0, np.uint8)
+        status.reshape(B, n0)[:] = base_status[None, :]
 
         level = L0
         while len(threads):
             with tracer.span("cd.level", level=level, pairs=len(threads)) as lsp:
-                if v2:
-                    ctx = LevelContext(
-                        rt, level, tree.cell_half(level), t0, t1,
-                        threads, codes, idx, status,
-                    )
-                    if ctx.prepare_panels():
-                        # Panel mode: kernels read (node x thread)
-                        # matrices; per-pair centers/dirs are gathered
-                        # on demand for the (rare) exact fallbacks.
-                        centers = None
-                        dirs = None
-                    else:
-                        centers = ctx.build_centers()
-                        dirs = ws.take("wave.dirs", (len(threads), 3))
-                        np.take(rt.all_dirs, threads, axis=0, out=dirs)
-                    if tracer.enabled:
-                        n_uniq, ratio = ctx.dedup_stats()
-                        lsp.set(
-                            unique_nodes=n_uniq,
-                            dedup_ratio=ratio,
-                            panel=ctx.use_panels,
-                        )
+                ctx = LevelContext(
+                    rt, level, tree.cell_half(level), t0, t1,
+                    threads, codes, idx, status,
+                )
+                if ctx.prepare_panels():
+                    # Panel mode: kernels read (node x thread) matrices;
+                    # per-pair centers/dirs are gathered on demand for
+                    # the (rare) exact fallbacks.
+                    centers = None
+                    dirs = None
                 else:
-                    ctx = None
-                    centers = tree.centers_of_codes(level, codes)
-                    dirs = rt.all_dirs[threads]
+                    centers = ctx.build_centers()
+                    dirs = ws.take("wave.dirs", (len(threads), 3))
+                    np.take(rt.all_dirs, threads, axis=0, out=dirs)
+                if tracer.enabled:
+                    n_uniq, ratio = ctx.dedup_stats()
+                    lsp.set(
+                        unique_nodes=n_uniq,
+                        dedup_ratio=ratio,
+                        panel=ctx.use_panels,
+                    )
                 wave = Wave(
                     level=level,
                     threads=threads,
@@ -1184,8 +1129,7 @@ def _traverse_range(
                 counters.add_threads("nodes_visited", threads, M)
                 outcomes = _decide_chunked(rt, method, wave)
                 threads, codes, idx, status = _advance(
-                    rt, wave, outcomes, collides,
-                    ws_bank=(level + 1) & 1 if v2 else None,
+                    rt, wave, outcomes, collides, ws_bank=(level + 1) & 1
                 )
             level += 1
             if level > tree.depth:
@@ -1314,17 +1258,10 @@ def run_cd(
     consulted only by the parallel path; the caller keeps ownership.
     Both leave results byte-identical; they only skip redundant setup.
     """
-    from dataclasses import replace
-
     from repro.engine.pool import resolve_workers, run_cd_parallel
 
     if table is not None and getattr(method, "needs_table", False):
         _check_table(table, scene, config)
-    engine = resolve_engine(config.engine)
-    if config.engine != engine:
-        # Pin the resolved engine into the config so pool workers (which
-        # may not share this process's environment) inherit it.
-        config = replace(config, engine=engine)
     n_workers = resolve_workers(workers if workers is not None else config.workers)
     if n_workers > 1 and grid.size > 1:
         return run_cd_parallel(
@@ -1338,7 +1275,7 @@ def run_cd(
     M = grid.size
     counters = ThreadCounters(n_threads=M, n_cyl=scene.n_cylinders)
     rt = Runtime(scene=scene, grid=grid, counters=counters, costs=costs, config=config)
-    ws_before = rt.workspace.stats() if rt.workspace is not None else None
+    ws_before = rt.workspace.stats()
 
     with tracer.span("cd.run", method=method.name, orientations=M) as run_sp:
         table_entries = 0
@@ -1367,12 +1304,7 @@ def run_cd(
                 progress=progress,
             )
 
-        if rt.workspace is not None:
-            from repro.engine.workspace import export_workspace_metrics
-
-            export_workspace_metrics(
-                get_metrics(), rt.workspace.stats_since(ws_before)
-            )
+        export_workspace_metrics(get_metrics(), rt.workspace.stats_since(ws_before))
 
         return _finalize_run(
             scene, grid, method,

@@ -371,7 +371,7 @@ def use_pool(pool: WorkerPool | None):
 
 
 # Worker-process-persistent buffer arena: one per worker, reused across
-# every task the worker runs so the v2 engine's reuse hits survive task
+# every task the worker runs so the traversal's reuse hits survive task
 # boundaries (a fresh arena per task would re-grow every buffer).
 _WORKER_WS: Workspace | None = None
 

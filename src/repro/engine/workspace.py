@@ -1,6 +1,6 @@
-"""Reusable buffer arenas for the frontier engine's hot loops.
+"""Reusable buffer arenas for the frontier traversal's hot loops.
 
-The v2 frontier engine (:mod:`repro.cd.traversal`) builds every level's
+The frontier traversal (:mod:`repro.cd.traversal`) builds every level's
 wave arrays — ``threads/codes/idx/status/centers/dirs`` plus the decide
 kernels' temporaries — inside a :class:`Workspace`: a named, growable
 arena of flat NumPy buffers.  A buffer is requested by name and size
@@ -8,8 +8,8 @@ with :meth:`Workspace.take`; the arena hands back a view of a persistent
 allocation, growing it geometrically when the request outruns the
 capacity.  After the first few levels of the first run every request is
 a *reuse hit* and the traversal stops paying allocator and page-fault
-cost per level — the dominant fixed overhead of the v1 engine on small
-and medium frontiers.
+cost per level — the dominant fixed overhead of an allocating traversal
+on small and medium frontiers.
 
 Naming protocol (the only contract callers must respect):
 
@@ -24,9 +24,10 @@ Naming protocol (the only contract callers must respect):
 
 Workspaces are deliberately dumb: no locking (one workspace per thread —
 see :func:`use_workspace`), no lifetime tracking, no zeroing.  Misuse
-shows up as wrong *values*, and the engine-equivalence suite compares
-v2 against the allocating v1 engine byte-for-byte, which is exactly the
-test that catches aliasing bugs.
+shows up as wrong *values*: the golden map/counter digests
+(``tests/data/golden_counters.json``) and the brute-force differential
+fuzz compare results byte-for-byte, which is exactly the test that
+catches aliasing bugs.
 
 A workspace can be installed as the *ambient* workspace of the current
 thread (:func:`use_workspace` / :func:`set_ambient_workspace`); the

@@ -1,17 +1,24 @@
-"""The v2 frontier engine: workspaces, dedup/panels, and the v1 contract.
+"""The frontier traversal: workspaces, dedup/panels, and its two level routes.
 
-The optimization contract under test is strict: for every method, any
-worker count, and any chunking, the v2 engine must produce accessibility
-maps AND per-thread counters byte-identical to the v1 reference — the
-counters are the simulated-GPU cost model, so a host-side optimization
-that changes them is changing the paper's numbers, not speeding them up.
+Each level runs either the (node x thread) panel kernels or the per-pair
+kernels, picked by the frontier size (``prepare_panels``).  The contract
+under test is strict: for every method, any worker count, and any
+chunking, both routes must produce accessibility maps AND per-thread
+counters byte-identical to each other — the counters are the
+simulated-GPU cost model, so a host-side optimization that changes them
+is changing the paper's numbers, not speeding them up.  The golden
+digests (``test_golden_counters.py``) pin both routes to the numbers of
+the former straight-line reference traversal.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import repro.cd.traversal as trav
 from repro.cd.methods import METHODS, PICA, method_by_name
-from repro.cd.traversal import ENGINES, TraversalConfig, resolve_engine, run_cd
+from repro.cd.traversal import TraversalConfig, run_cd
 from repro.engine.counters import ThreadCounters
 from repro.engine.workspace import (
     Workspace,
@@ -39,46 +46,21 @@ def _assert_identical(a, b, label: str) -> None:
         )
 
 
-# ---------------------------------------------------------------------------
-# Engine selection
-# ---------------------------------------------------------------------------
+@contextmanager
+def _routing(name: str):
+    """``default`` panel gates, or ``panels_off``: every level per pair.
+
+    Pool workers fork after the patch, so pooled runs inherit it.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "panels_off":
+            mp.setattr(trav, "_PANEL_MIN_PAIRS", np.iinfo(np.intp).max)
+        yield
 
 
-class TestResolveEngine:
-    def test_default_is_v2(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine() == "v2"
-        assert resolve_engine(None) == "v2"
-        assert resolve_engine("") == "v2"
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "v2")
-        assert resolve_engine("v1") == "v1"
-
-    def test_env_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "v1")
-        assert resolve_engine() == "v1"
-        assert resolve_engine(TraversalConfig().engine) == "v1"
-
-    def test_normalization_and_validation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine(" V1 ") == "v1"
-        with pytest.raises(ValueError, match="engine"):
-            resolve_engine("v3")
-        monkeypatch.setenv("REPRO_ENGINE", "bogus")
-        with pytest.raises(ValueError, match="engine"):
-            resolve_engine()
-
-    def test_whitespace_defers_to_env(self, monkeypatch):
-        # Regression: a whitespace-only config value used to skip the
-        # env fallback and then fail validation on the stripped string.
-        monkeypatch.setenv("REPRO_ENGINE", "v1")
-        assert resolve_engine("   ") == "v1"
-        monkeypatch.delenv("REPRO_ENGINE")
-        assert resolve_engine("   ") == "v2"
-
-    def test_engines_tuple(self):
-        assert ENGINES == ("v1", "v2")
+def _run_panels_off(scene, method: str, **kw):
+    with _routing("panels_off"):
+        return run_cd(scene, GRID, method_by_name(method), **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +128,7 @@ class TestWorkspace:
 
 
 # ---------------------------------------------------------------------------
-# v1/v2 equivalence: every method, serial + pooled, chunked + unchunked
+# Route equivalence: every method, serial + pooled, chunked + unchunked
 # ---------------------------------------------------------------------------
 
 
@@ -154,48 +136,31 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("method", METHOD_NAMES)
     @pytest.mark.parametrize("workers", [1, 2])
     def test_maps_and_counters_identical(self, sphere_scene, method, workers):
-        r1 = run_cd(
-            sphere_scene, GRID, method_by_name(method),
-            config=TraversalConfig(engine="v1"), workers=workers,
-        )
-        r2 = run_cd(
-            sphere_scene, GRID, method_by_name(method),
-            config=TraversalConfig(engine="v2"), workers=workers,
-        )
-        _assert_identical(r1, r2, f"{method} workers={workers}")
+        ref = _run_panels_off(sphere_scene, method, workers=workers)
+        got = run_cd(sphere_scene, GRID, method_by_name(method), workers=workers)
+        _assert_identical(ref, got, f"{method} workers={workers}")
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_chunked_identical_across_engines(self, sphere_scene, method):
         # max_pairs=7 forces many tiny chunks through every level —
         # the regression test for the counter-purity invariant that
-        # chunked and unchunked runs (and both engines) charge the same.
-        ref = run_cd(
-            sphere_scene, GRID, method_by_name(method),
-            config=TraversalConfig(engine="v1"),
-        )
-        for engine in ENGINES:
-            chunked = run_cd(
-                sphere_scene, GRID, method_by_name(method),
-                config=TraversalConfig(engine=engine, max_pairs=7),
-            )
-            _assert_identical(ref, chunked, f"{method} {engine} max_pairs=7")
-
-    def test_env_engine_respected_end_to_end(self, sphere_scene, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "v1")
-        r1 = run_cd(sphere_scene, GRID, method_by_name("AICA"))
-        monkeypatch.setenv("REPRO_ENGINE", "v2")
-        r2 = run_cd(sphere_scene, GRID, method_by_name("AICA"))
-        _assert_identical(r1, r2, "REPRO_ENGINE env switch")
+        # chunked and unchunked runs (under either level route) charge
+        # the same.
+        ref = _run_panels_off(sphere_scene, method)
+        for routing in ("default", "panels_off"):
+            with _routing(routing):
+                chunked = run_cd(
+                    sphere_scene, GRID, method_by_name(method),
+                    config=TraversalConfig(max_pairs=7),
+                )
+            _assert_identical(ref, chunked, f"{method} {routing} max_pairs=7")
 
     def test_workspace_metrics_exported(self, sphere_scene):
         # workers=1 pins the serial path even under REPRO_WORKERS: the
         # serial exporter owns the engine.workspace.* namespace (pooled
         # runs export engine.pool.workspace.* instead).
         with use_metrics(MetricsRegistry()) as reg:
-            run_cd(
-                sphere_scene, GRID, method_by_name("AICA"),
-                config=TraversalConfig(engine="v2"), workers=1,
-            )
+            run_cd(sphere_scene, GRID, method_by_name("AICA"), workers=1)
         m = reg.as_dict()
         assert m["engine.workspace.grow_events"]["value"] > 0
         assert m["engine.workspace.bytes_held"]["value"] > 0
@@ -205,17 +170,10 @@ class TestEngineEquivalence:
         # arena and back-to-back runs stop growing — the second run's
         # takes are (almost) all reuse hits against the first's buffers.
         ws = Workspace()
-        cfg = TraversalConfig(engine="v2")
         with use_workspace(ws), use_metrics(MetricsRegistry()) as reg:
-            run_cd(
-                sphere_scene, GRID, method_by_name("AICA"),
-                config=cfg, workers=1,
-            )
+            run_cd(sphere_scene, GRID, method_by_name("AICA"), workers=1)
             grows_first = ws.grow_events
-            run_cd(
-                sphere_scene, GRID, method_by_name("AICA"),
-                config=cfg, workers=1,
-            )
+            run_cd(sphere_scene, GRID, method_by_name("AICA"), workers=1)
         assert ws.grow_events == grows_first  # second run grew nothing
         assert ws.reuse_hits > 0
         m = reg.as_dict()
@@ -228,7 +186,7 @@ class TestEngineEquivalence:
         with use_metrics(MetricsRegistry()) as reg:
             run_cd(
                 sphere_scene, GRID, method_by_name("AICA"),
-                config=TraversalConfig(engine="v2", thread_block=8), workers=2,
+                config=TraversalConfig(thread_block=8), workers=2,
             )
         m = reg.as_dict()
         assert m["engine.pool.workspace.grow_events"]["value"] > 0
@@ -246,20 +204,11 @@ class TestEngineEquivalence:
         with use_metrics(MetricsRegistry()) as reg:
             run_along_path(
                 sphere_scene.tree, paper_tool(), pivots, GRID,
-                method_by_name("AICA"), config=TraversalConfig(engine="v2"),
-                workers=2,
+                method_by_name("AICA"), workers=2,
             )
         m = reg.as_dict()
         assert m["engine.pool.workspace.grow_events"]["value"] > 0
         assert m["engine.pool.workspace.bytes_held"]["value"] > 0
-
-    def test_v1_exports_no_workspace_metrics(self, sphere_scene):
-        with use_metrics(MetricsRegistry()) as reg:
-            run_cd(
-                sphere_scene, GRID, method_by_name("AICA"),
-                config=TraversalConfig(engine="v1"),
-            )
-        assert "engine.workspace.reuse_hits" not in reg.as_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +223,7 @@ class TestScreenPanelRouting:
     gathers verdicts; the sparse branch gathers the masked pairs and
     screens them per pair.  The heuristic picks between them on mask
     density, so each branch is forced explicitly here and checked
-    against the v1 reference.  These are also the forced-panel runs for
+    against a panels-off run.  These are also the forced-panel runs for
     every method: the low panel gates make the tiny scene take the dense
     CHECKICA, screen and cull panels.
     """
@@ -314,15 +263,10 @@ class TestScreenPanelRouting:
     @pytest.mark.parametrize("dense", [True, False])
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_forced_branches_identical(self, sphere_scene, monkeypatch, method, dense):
-        ref = run_cd(
-            sphere_scene, GRID, method_by_name(method),
-            config=TraversalConfig(engine="v1", start_level=2),
-        )
+        cfg = TraversalConfig(start_level=2)
+        ref = _run_panels_off(sphere_scene, method, config=cfg)
         self._force_panels(monkeypatch, dense)
-        forced = run_cd(
-            sphere_scene, GRID, method_by_name(method),
-            config=TraversalConfig(engine="v2", start_level=2),
-        )
+        forced = run_cd(sphere_scene, GRID, method_by_name(method), config=cfg)
         _assert_identical(ref, forced, f"{method} dense={dense}")
 
     def test_forced_panels_pooled_identical_to_serial(self, sphere_scene, monkeypatch):
@@ -330,7 +274,7 @@ class TestScreenPanelRouting:
         # the lowered gates, so both sides run the panel kernels from a
         # multi-level start.
         self._force_panels(monkeypatch)
-        cfg = TraversalConfig(engine="v2", start_level=2)
+        cfg = TraversalConfig(start_level=2)
         serial = run_cd(sphere_scene, GRID, method_by_name("AICA"), config=cfg, workers=1)
         pooled = run_cd(sphere_scene, GRID, method_by_name("AICA"), config=cfg, workers=2)
         _assert_identical(serial, pooled, "forced panels pooled vs serial")
@@ -369,14 +313,15 @@ class TestCounterPurity:
                 config=TraversalConfig(max_pairs=7), workers=1,
             )
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_honest_methods_pass_the_assert(self, sphere_scene, engine):
+    @pytest.mark.parametrize("routing", ["default", "panels_off"])
+    def test_honest_methods_pass_the_assert(self, sphere_scene, routing):
         # Runs with chunking active and __debug__ on: completing at all
         # means every per-chunk purity assert held.
-        run_cd(
-            sphere_scene, GRID, method_by_name("AICA"),
-            config=TraversalConfig(engine=engine, max_pairs=7),
-        )
+        with _routing(routing):
+            run_cd(
+                sphere_scene, GRID, method_by_name("AICA"),
+                config=TraversalConfig(max_pairs=7),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +341,7 @@ class TestServedQueries:
             before = reg.as_dict()["engine.workspace.grow_events"]["value"]
             svc.query(QuerySpec(scene=digest, grid=GRID.shape, method="MICA"))
             after = reg.as_dict()["engine.workspace.grow_events"]["value"]
-        direct = run_cd(
-            sphere_scene, GRID, method_by_name("AICA"),
-            config=TraversalConfig(engine="v1"),
-        )
+        direct = _run_panels_off(sphere_scene, "AICA")
         np.testing.assert_array_equal(served.accessible, direct.accessibility_map)
         m = reg.as_dict()
         assert m["engine.workspace.reuse_hits"]["value"] > 0

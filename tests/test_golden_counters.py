@@ -6,7 +6,10 @@ byte-identical.  ``tests/data/golden_counters.json`` pins a SHA-256 of
 ``collides.tobytes()`` followed by every ``ThreadCounters.COUNTER_FIELDS``
 array for each of the five methods on the ``sphere_scene`` and
 ``head_scene`` fixtures at one fixed grid.  The test recomputes them
-under both engines, serial and pooled.
+serial and pooled, under both level routings: the default panel gates,
+and panels off (``_PANEL_MIN_PAIRS`` above any frontier, so every level
+runs the per-pair kernels).  The digests were frozen from the former
+straight-line reference traversal, so they are the oracle for both.
 
 The same file pins the voxel-per-thread pricer
 (:func:`repro.cd.mapping.run_voxel_mapping`, the Section 4.1 mapping
@@ -30,6 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.cd.traversal as trav
 from repro.cd.mapping import run_voxel_mapping
 from repro.cd.methods import METHODS
 from repro.cd.traversal import TraversalConfig, run_cd
@@ -49,11 +53,12 @@ def result_digest(result) -> str:
     return h.hexdigest()
 
 
-def compute_digests(scene, *, engine: str = "v2", workers: int = 1) -> dict[str, str]:
+def compute_digests(scene, *, workers: int = 1) -> dict[str, str]:
     grid = OrientationGrid.square(GRID_L)
-    cfg = TraversalConfig(engine=engine)
     return {
-        cls.name: result_digest(run_cd(scene, grid, cls(), config=cfg, workers=workers))
+        cls.name: result_digest(
+            run_cd(scene, grid, cls(), config=TraversalConfig(), workers=workers)
+        )
         for cls in METHODS
     }
 
@@ -82,11 +87,15 @@ def test_golden_file_covers_every_method_and_scene(golden):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("engine", ["v1", "v2"])
+@pytest.mark.parametrize("routing", ["default", "panels_off"])
 @pytest.mark.parametrize("scene_name", SCENES)
-def test_digests_match_golden(request, golden, scene_name, engine, workers):
+def test_digests_match_golden(request, golden, scene_name, routing, workers):
     scene = request.getfixturevalue(scene_name)
-    got = compute_digests(scene, engine=engine, workers=workers)
+    with pytest.MonkeyPatch.context() as mp:
+        if routing == "panels_off":
+            # Pool workers fork after the patch, so they inherit it.
+            mp.setattr(trav, "_PANEL_MIN_PAIRS", np.iinfo(np.intp).max)
+        got = compute_digests(scene, workers=workers)
     assert got == golden["digests"][scene_name]
 
 
@@ -121,7 +130,7 @@ if __name__ == "__main__":
     doc = {
         "grid": GRID_L,
         "digest": "sha256(collides.tobytes() + COUNTER_FIELDS arrays in order)",
-        "digests": {name: compute_digests(scene, engine="v1") for name, scene in scenes.items()},
+        "digests": {name: compute_digests(scene) for name, scene in scenes.items()},
         "voxel_mapping": {
             "grid": GRID_L,
             "scene": "sphere_scene",

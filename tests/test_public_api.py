@@ -59,6 +59,19 @@ class TestTopLevelExports:
         fields = {f.name for f in dataclasses.fields(traversal.TraversalConfig)}
         assert "backend" not in fields
 
+    def test_no_engine_knob(self):
+        """The frontier-engine choice was removed: one traversal, nothing selects it."""
+        import dataclasses
+        import inspect
+
+        from repro.cd import traversal
+
+        assert not [n for n in dir(traversal) if "engine" in n.lower()]
+        for cls in (traversal.TraversalConfig, traversal.Runtime):
+            assert "engine" not in {f.name for f in dataclasses.fields(cls)}
+        # Nothing in the traversal reads the environment any more.
+        assert "os.environ" not in inspect.getsource(traversal)
+
     def test_docstring_example_runs(self):
         """The package docstring's doctest is the first thing users copy."""
         import doctest
