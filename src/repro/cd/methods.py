@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cd.traversal import OUT_EXPAND, OUT_NO, OUT_YES, Runtime, Wave
+from repro.cd.traversal import OUT_EXPAND, OUT_NO, OUT_YES, Runtime, Wave, _fly_bounds
 from repro.geometry.batch import tool_aabb_batch, tool_aabb_cull_batch
-from repro.ica.cone import ica_bounds_cos
-from repro.ica.table import SQRT3
 
 __all__ = ["PBox", "PBoxOpt", "PICA", "MICA", "AICA", "METHODS", "method_by_name"]
 
@@ -272,13 +270,10 @@ class _IcaBase:
             cos1[memo], cos2[memo] = rt.table.lookup(wave.level, wave.idx[memo])
         fly = np.flatnonzero(~memo)
         if len(fly):
-            tool = rt.scene.tool
             _, first, inverse = np.unique(
                 wave.codes[fly], return_index=True, return_inverse=True
             )
-            du = dist[fly[first]]
-            lo, _ = ica_bounds_cos(tool.z0, tool.z1, tool.radius, du, wave.half)
-            _, hi = ica_bounds_cos(tool.z0, tool.z1, tool.radius, du, SQRT3 * wave.half)
+            lo, hi = _fly_bounds(rt.scene.tool, dist[fly[first]], wave.half)
             cos1[fly] = lo[inverse]
             cos2[fly] = hi[inverse]
         return cos1, cos2, memo_stored

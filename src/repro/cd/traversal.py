@@ -63,6 +63,18 @@ OUT_NO = np.uint8(0)
 OUT_YES = np.uint8(1)
 OUT_EXPAND = np.uint8(2)
 
+
+def _fly_bounds(tool, dist: np.ndarray, half: float):
+    """On-the-fly CHECKICA cone bounds ``(cos_lo, cos_hi)`` at pivot distances ``dist``.
+
+    ``cos_lo`` is GETTOOLICA's of the voxel's inscribed sphere (radius
+    ``half``), ``cos_hi`` that of its circumscribed sphere
+    (``sqrt(3) * half``) — Algorithm 1's two spheres.
+    """
+    lo, _ = ica_bounds_cos(tool.z0, tool.z1, tool.radius, dist, half)
+    _, hi = ica_bounds_cos(tool.z0, tool.z1, tool.radius, dist, SQRT3 * half)
+    return lo, hi
+
 @dataclass(frozen=True)
 class TraversalConfig:
     """Tunable parameters of the parallel scheme.
@@ -213,10 +225,8 @@ class _RunCache:
     def level_fly_bounds(self, level: int, half: float, want: int):
         """On-the-fly CHECKICA cone bounds for every stored node at ``level``.
 
-        Returns ``(cos_lo, cos_hi)`` — ``ica_bounds_cos`` of the
-        inscribed (``half``) and circumscribed (``sqrt(3) * half``)
-        spheres, exactly as ``_IcaBase`` computes them per unique code —
-        or None when the level is wider than ``want`` pairs.
+        Returns :func:`_fly_bounds` per stored node, or None when the
+        level is wider than ``want`` pairs.
         """
         b = self._fly.get(level)
         if b is None:
@@ -225,15 +235,7 @@ class _RunCache:
             dist = self.level_dist(level, want)
             if dist is None:
                 return None
-            tool = self.scene.tool
-            n = len(dist)
-            lo, _ = ica_bounds_cos(
-                tool.z0, tool.z1, tool.radius, dist, np.full(n, half)
-            )
-            _, hi = ica_bounds_cos(
-                tool.z0, tool.z1, tool.radius, dist, np.full(n, SQRT3 * half)
-            )
-            b = self._fly[level] = (lo, hi)
+            b = self._fly[level] = _fly_bounds(self.scene.tool, dist, half)
         return b
 
     # -- per thread of the current block ----------------------------------
@@ -407,9 +409,8 @@ class LevelContext:
 
         Dense path: gather the stored-node center cache through ``idx``
         and patch virtual rows from their unique codes.  Narrow path
-        (frontier smaller than the stored level): per-pair decode.
-        Either way every row equals
-        ``centers_of_codes(level, codes)`` bit-for-bit.
+        (frontier smaller than the stored level): per-pair decode.  Either
+        way every row equals ``centers_of_codes(level, codes)`` bit-for-bit.
         """
         rt = self.rt
         tree = rt.scene.tree
@@ -514,17 +515,7 @@ class LevelContext:
                     uniq, inverse = np.unique(self.codes, return_inverse=True)
                     first = np.zeros(len(uniq), dtype=np.intp)
                     first[inverse[::-1]] = np.arange(F, dtype=np.intp)[::-1]
-                    du = self.pair_dist()[first]
-                    lo, _ = ica_bounds_cos(
-                        tool.z0, tool.z1, tool.radius, du, np.full(len(uniq), self.half)
-                    )
-                    _, hi = ica_bounds_cos(
-                        tool.z0,
-                        tool.z1,
-                        tool.radius,
-                        du,
-                        np.full(len(uniq), SQRT3 * self.half),
-                    )
+                    lo, hi = _fly_bounds(tool, self.pair_dist()[first], self.half)
                     cos1[:] = lo[inverse]
                     cos2[:] = hi[inverse]
             self._bounds = (cos1, cos2, memo_stored)
@@ -532,15 +523,7 @@ class LevelContext:
 
     def _fill_virtual_bounds(self, cos1, cos2, vsel, vuq, vinv) -> None:
         """On-the-fly bounds for the unique virtual nodes, scattered back."""
-        tool = self.rt.scene.tool
-        du = self._virtual_dist()
-        n = len(vuq)
-        lo, _ = ica_bounds_cos(
-            tool.z0, tool.z1, tool.radius, du, np.full(n, self.half)
-        )
-        _, hi = ica_bounds_cos(
-            tool.z0, tool.z1, tool.radius, du, np.full(n, SQRT3 * self.half)
-        )
+        lo, hi = _fly_bounds(self.rt.scene.tool, self._virtual_dist(), self.half)
         cos1[vsel] = lo[vinv]
         cos2[vsel] = hi[vinv]
 
@@ -668,26 +651,9 @@ class LevelContext:
                     cos1[:nus] = c1
                     cos2[:nus] = c2
                 if len(vuq):
-                    du = dist_w[nus:]
-                    lo, _ = ica_bounds_cos(
-                        tool.z0, tool.z1, tool.radius, du, np.full(len(vuq), self.half)
-                    )
-                    _, hi = ica_bounds_cos(
-                        tool.z0, tool.z1, tool.radius, du,
-                        np.full(len(vuq), SQRT3 * self.half),
-                    )
-                    cos1[nus:] = lo
-                    cos2[nus:] = hi
+                    cos1[nus:], cos2[nus:] = _fly_bounds(tool, dist_w[nus:], self.half)
             else:
-                lo, _ = ica_bounds_cos(
-                    tool.z0, tool.z1, tool.radius, dist_w, np.full(U, self.half)
-                )
-                _, hi = ica_bounds_cos(
-                    tool.z0, tool.z1, tool.radius, dist_w,
-                    np.full(U, SQRT3 * self.half),
-                )
-                cos1[:] = lo
-                cos2[:] = hi
+                cos1[:], cos2[:] = _fly_bounds(tool, dist_w, self.half)
             self._pbounds = (cos1, cos2, memo_stored)
         return self._pbounds
 
