@@ -36,7 +36,7 @@ import pytest
 import repro.cd.traversal as trav
 from repro.cd.mapping import run_voxel_mapping
 from repro.cd.methods import METHODS
-from repro.cd.traversal import TraversalConfig, run_cd
+from repro.cd.traversal import run_cd
 from repro.engine.counters import ThreadCounters
 from repro.geometry.orientation import OrientationGrid
 
@@ -56,9 +56,7 @@ def result_digest(result) -> str:
 def compute_digests(scene, *, workers: int = 1) -> dict[str, str]:
     grid = OrientationGrid.square(GRID_L)
     return {
-        cls.name: result_digest(
-            run_cd(scene, grid, cls(), config=TraversalConfig(), workers=workers)
-        )
+        cls.name: result_digest(run_cd(scene, grid, cls(), workers=workers))
         for cls in METHODS
     }
 
