@@ -64,6 +64,10 @@ class ThreadCounters:
         arr = getattr(self, name)
         arr += np.bincount(thread_idx, minlength=n_threads).astype(np.int64)
 
+    def add_range(self, name: str, t0: int, t1: int, counts) -> None:
+        """Add ``counts`` (a scalar or one entry per thread) to threads ``[t0, t1)``."""
+        getattr(self, name)[t0:t1] += counts
+
     # -- derived quantities -------------------------------------------------
 
     def thread_ops(self, costs: CostModel) -> np.ndarray:

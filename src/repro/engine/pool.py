@@ -37,6 +37,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import replace
 from multiprocessing import get_all_start_methods, get_context, resource_tracker, shared_memory
@@ -292,13 +293,17 @@ class WorkerPool:
 
     Thin wrapper over :class:`concurrent.futures.ProcessPoolExecutor`
     with the repo's start-method policy (``fork`` where available for
-    cheap startup, overridable via ``REPRO_POOL_START``).
+    cheap startup, overridable via ``REPRO_POOL_START``), which recovers
+    from a dead worker by replacing the executor (see :meth:`map`).
     """
 
     def __init__(self, workers: int, *, start_method: str | None = None):
         self.workers = max(1, int(workers))
-        ctx = get_context(start_method or _start_method())
-        self._executor = ProcessPoolExecutor(max_workers=self.workers, mp_context=ctx)
+        self._ctx = get_context(start_method or _start_method())
+        self._executor = self._new_executor()
+
+    def _new_executor(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=self.workers, mp_context=self._ctx)
 
     def map(self, fn, jobs: list, *, on_done=None) -> list:
         """Submit all jobs, return results in submission order.
@@ -306,12 +311,33 @@ class WorkerPool:
         ``on_done(index)`` — when given — is called once per task as it
         completes, in completion order (the progress heartbeat's hook);
         results still come back in submission order.
+
+        A worker that dies (killed, out of memory) leaves the executor
+        broken for good.  The map that meets the breakage replaces the
+        executor and resubmits every job once: jobs are pure functions of
+        their arguments, so the rerun returns what the first attempt
+        would have (``on_done`` still fires once per task).  Each
+        replacement counts in ``engine.pool.respawns``; a second
+        breakage in the same map propagates.
         """
+        reported: set[int] = set()
+        try:
+            return self._map_once(fn, jobs, on_done, reported)
+        except BrokenProcessPool:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = self._new_executor()
+            get_metrics().counter("engine.pool.respawns").inc()
+            return self._map_once(fn, jobs, on_done, reported)
+
+    def _map_once(self, fn, jobs: list, on_done, reported: set[int]) -> list:
         futures = [self._executor.submit(fn, job) for job in jobs]
         if on_done is not None:
             index = {f: i for i, f in enumerate(futures)}
             for f in as_completed(futures):
-                on_done(index[f])
+                i = index[f]
+                if f.exception() is None and i not in reported:
+                    reported.add(i)
+                    on_done(i)
         return [f.result() for f in futures]
 
     def shutdown(self) -> None:

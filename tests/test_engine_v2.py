@@ -290,8 +290,8 @@ class _OverchargingPICA(PICA):
 
     name = "OverchargingPICA"
 
-    def decide(self, rt, wave):
-        out = super().decide(rt, wave)
+    @staticmethod
+    def _overcharge(rt):
         # Charge one box check to *every* thread of the run — exactly the
         # level-global accounting the purity invariant forbids.
         rt.counters.add_threads(
@@ -299,6 +299,15 @@ class _OverchargingPICA(PICA):
             np.arange(rt.counters.n_threads),
             rt.counters.n_threads,
         )
+
+    def decide(self, rt, wave):
+        out = super().decide(rt, wave)
+        self._overcharge(rt)
+        return out
+
+    def decide_base(self, rt, bw):
+        out = super().decide_base(rt, bw)
+        self._overcharge(rt)
         return out
 
 

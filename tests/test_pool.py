@@ -7,8 +7,10 @@ consumers can read unchanged.
 """
 
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -361,5 +363,37 @@ class TestWorkerPool:
         assert out == [i * i for i in range(8)]
 
 
+class TestWorkerDeath:
+    """A SIGKILLed worker must not take an ambient pool down for good."""
+
+    def test_killed_worker_is_replaced(self, sphere_scene):
+        from repro.engine.pool import use_pool
+
+        serial = run_cd(sphere_scene, GRID, AICA(), workers=1)
+        pool = WorkerPool(2)
+        try:
+            victim = pool.map(_pid, [0])[0]
+            os.kill(victim, signal.SIGKILL)
+            # Wait until the executor has seen the death, so the next map
+            # meets a broken pool instead of racing the kill.
+            deadline = time.monotonic() + 10.0
+            while not pool._executor._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._executor._broken
+            registry = MetricsRegistry()
+            with use_pool(pool), use_metrics(registry):
+                for _ in range(2):  # the replacement serves later runs too
+                    par = run_cd(sphere_scene, GRID, AICA(), workers=2)
+                    np.testing.assert_array_equal(par.collides, serial.collides)
+                    _same_counters(par.counters, serial.counters)
+            assert registry.as_dict()["engine.pool.respawns"]["value"] == 1
+        finally:
+            pool.shutdown()
+
+
 def _square(x):
     return x * x
+
+
+def _pid(_):
+    return os.getpid()

@@ -214,23 +214,45 @@ class TestMaxPairsChunking:
             )
 
     def test_decide_sees_bounded_waves(self, scene):
-        """Every decide() batch is at most max_pairs pairs wide."""
+        """Every decide() batch is at most max_pairs pairs wide, and every
+        decide_base() chunk at most max(max_pairs, n0) (cell, thread) pairs.
+
+        Start level 3 reaches levels below the base level (decide() runs);
+        the default start level clamps to the leaf level, so the base
+        level is the whole traversal and, with n0 > max_pairs, each
+        decide_base() call sees a single thread column.
+        """
         from repro.cd import run_cd
         from repro.cd.methods import method_by_name
 
-        method = method_by_name("AICA")
-        sizes = []
-        original = method.decide
+        for start_level in (3, 5):
+            method = method_by_name("AICA")
+            sizes = []
+            base_sizes = []
+            original = method.decide
+            original_base = method.decide_base
 
-        def spy(rt, wave):
-            sizes.append(wave.size)
-            return original(rt, wave)
+            def spy(rt, wave):
+                sizes.append(wave.size)
+                return original(rt, wave)
 
-        method.decide = spy
-        # workers=1: the spy lives in this process, not in pool workers
-        run_cd(scene, OrientationGrid.square(4), method,
-               config=TraversalConfig(max_pairs=16, workers=1))
-        assert sizes and max(sizes) <= 16
+            def base_spy(rt, bw):
+                base_sizes.append(bw.size)
+                return original_base(rt, bw)
+
+            method.decide = spy
+            method.decide_base = base_spy
+            # workers=1: the spies live in this process, not in pool workers
+            run_cd(scene, OrientationGrid.square(4), method,
+                   config=TraversalConfig(max_pairs=16, workers=1,
+                                          start_level=start_level))
+            n0 = len(initial_frontier(scene, start_level)[1])
+            assert base_sizes and max(base_sizes) <= max(16, n0)
+            if start_level < scene.tree.depth:
+                assert sizes and max(sizes) <= 16
+            else:
+                assert n0 > 16 and set(base_sizes) == {n0}
+                assert not sizes
 
 
 class TestLeafOnlyTree:
