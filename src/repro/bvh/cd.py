@@ -9,8 +9,9 @@ circumscribed sphere) on internal nodes; definite hits exist only at the
 primitive (solid box) level.  The traversal below exploits exactly what
 is sound:
 
-* internal node: prune iff ``cos_angle <= cos_hi(circumscribed sphere of
-  the node box)``; otherwise descend (no exact test needed);
+* internal node: prune iff ``cos_angle <= miss_bound(cos_hi)`` of the
+  circumscribed sphere of the node box; otherwise descend (no exact
+  test needed);
 * leaf primitive: the full two-sphere CHECKICA (hit / miss / corner →
   exact CHECKBOX), identical to the octree leaf handling.
 
@@ -33,7 +34,7 @@ from repro.engine.counters import StageBreakdown, ThreadCounters
 from repro.engine.device import DeviceSpec, GTX_1080_TI
 from repro.engine.simt import simulate_kernel, simulate_stage
 from repro.geometry.batch import tool_aabb_batch
-from repro.ica.cone import ica_bounds_cos
+from repro.ica.cone import ica_bounds_cos, miss_bound
 from repro.ica.table import SQRT3
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
@@ -188,7 +189,7 @@ def _run_cd_bvh(
                 )
                 ca = np.where(dist == 0.0, 1.0, ca)
                 counters.add_threads("ica_memo_checks", threads, M)
-                possible = ca > node_hi[nodes]
+                possible = ca > miss_bound(node_hi[nodes])
             else:
                 possible = _exact_hits(threads, node_c[nodes], node_h3[nodes])
 
@@ -222,7 +223,7 @@ def _run_cd_bvh(
                     counters.add_threads("ica_memo_checks", pt, M)
                     counters.add_threads("nodes_visited", pt, M)
                     yes = ca >= prim_lo[prim]
-                    no = ~yes & (ca <= prim_hi[prim])
+                    no = ~yes & (ca <= miss_bound(prim_hi[prim]))
                     corner = ~yes & ~no
                     if corner.any():
                         counters.add_threads("corner_cases", pt[corner], M)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ica.cone import ica_bounds_cos
+from repro.ica.cone import ica_bounds_cos, miss_bound
 
 __all__ = ["box_ica_bounds_cos", "box_corner_fraction"]
 
@@ -32,8 +32,8 @@ def box_ica_bounds_cos(
 
     Returns ``(cos_lo, cos_hi)`` with the usual guarantees against the
     *box*: ``cos_angle >= cos_lo`` implies the sphere hits the box (it
-    hits the inscribed cylinder); ``cos_angle <= cos_hi`` implies it
-    misses the box (it misses the circumscribed cylinder).
+    hits the inscribed cylinder); ``cos_angle <= miss_bound(cos_hi)``
+    implies it misses the box (it misses the circumscribed cylinder).
     """
     if not (0 < wx and 0 < wy):
         raise ValueError("box half-widths must be positive")
@@ -71,5 +71,5 @@ def box_corner_fraction(
     )
     thetas = np.pi * (np.arange(n_angles) + 0.5) / n_angles
     cos_t = np.cos(thetas)
-    undecided = (cos_t < lo[0]) & (cos_t > hi[0])
+    undecided = (cos_t < lo[0]) & (cos_t > miss_bound(hi)[0])
     return float(undecided.mean())

@@ -23,7 +23,10 @@ the pivot.  We therefore return two sound bounds:
   ``theta = 0`` (sentinel ``-1`` when ``theta = 0`` is itself
   accessible), so ``theta <= ica_lo  =>  collision``;
 * ``ica_hi`` — the supremum of the whole inaccessible set (``0`` when it
-  is empty), so ``theta >= ica_hi  =>  no collision``.
+  is empty), so ``theta >= ica_hi  =>  no collision`` — except when the
+  set reaches ``theta = pi`` (``ica_hi = pi``, e.g. a pivot inside the
+  sphere): the set is closed, so ``pi`` itself collides and no angle is
+  a provable miss (:func:`miss_bound`).
 
 ``CHECKICA`` uses ``ica_lo`` of the voxel's *inscribed* sphere and
 ``ica_hi`` of its *circumscribed* sphere (Algorithm 1 / Figure 8).
@@ -71,6 +74,7 @@ __all__ = [
     "inaccessible_intervals",
     "ACCESSIBLE_SENTINEL",
     "COS_NEVER",
+    "miss_bound",
 ]
 
 #: ``ica_lo`` (angle space) meaning "no collision guaranteed at any angle".
@@ -209,7 +213,9 @@ def ica_bounds_cos(
     * ``ca >= cos_lo``  =>  collision (``cos_lo = COS_NEVER`` if theta=0
       itself is accessible — never fires);
     * ``ca <= cos_hi``  =>  no collision (``cos_hi = 1`` when nothing is
-      inaccessible).
+      inaccessible), for ``cos_hi > -1``.  ``cos_hi = -1`` means the
+      inaccessible set reaches ``theta = pi`` and contains it, so
+      compare against :func:`miss_bound` of it.
 
     Batches larger than ``chunk`` are processed in slices so the
     ``(B, 8C+2)`` candidate and selection arrays stay bounded on deep
@@ -256,6 +262,18 @@ def ica_bounds_cos(
     cos_lo = np.where(member[:, 0], cos_lo, COS_NEVER)
 
     return cos_lo.reshape(shape), cos_hi.reshape(shape)
+
+
+def miss_bound(cos_hi):
+    """CHECKICA's miss threshold: ``ca <= miss_bound(cos_hi)``  =>  no collision.
+
+    ``cos_hi`` itself, except where it is ``-1``: there the closed
+    inaccessible set reaches ``theta = pi`` and so contains it (a pivot
+    inside the sphere collides at every angle), and the threshold drops
+    below every cosine so the miss test never fires.  Tables keep the
+    raw ``cos_hi``; callers apply this where they compare.
+    """
+    return np.where(cos_hi > -1.0, cos_hi, -COS_NEVER)
 
 
 def ica_bounds_arrays(z0, z1, R, dist, sphere_r) -> tuple[np.ndarray, np.ndarray]:

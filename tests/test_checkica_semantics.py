@@ -16,7 +16,7 @@ from repro.geometry.aabb import AABB
 from repro.geometry.cylinder import Cylinder
 from repro.geometry.orientation import direction_from_angles
 from repro.geometry.predicates import tool_cylinders_aabb_intersects
-from repro.ica.cone import COS_NEVER, ica_bounds_cos
+from repro.ica.cone import COS_NEVER, ica_bounds_cos, miss_bound
 from repro.ica.table import SQRT3
 from repro.tool.tool import Tool, ball_end_mill, paper_tool
 
@@ -81,6 +81,51 @@ class TestCheckIcaNeverContradictsCheckBox:
         # the yes-region (cos >= cos1) and no-region (cos <= cos2) never
         # overlap: cos2 <= cos1 always (larger sphere -> larger cone)
         assert cos2[0] <= cos1[0] + 1e-12 or cos1[0] == COS_NEVER
+
+
+class TestNoMissWhereTheSetReachesPi:
+    """A pivot inside a sphere collides with it at every angle.
+
+    GETTOOLICA then returns ``cos_hi = -1``: the far edge of a closed
+    inaccessible set that contains ``theta = pi``.  Comparing
+    ``cos_angle <= cos_hi`` called the exactly antiparallel direction a
+    miss and pruned a node the tool intersects.
+    """
+
+    def test_miss_bound_never_fires_at_minus_one(self):
+        tool = Tool.from_segments([(1.0, 1.0)])
+        _, cos_hi = ica_bounds_cos(
+            tool.z0, tool.z1, tool.radius, np.array([6.0]), np.array([8.0 * SQRT3])
+        )
+        assert cos_hi[0] == -1.0
+        assert not (-1.0 <= miss_bound(cos_hi)[0])
+        np.testing.assert_array_equal(miss_bound(np.array([0.5, 1.0])), [0.5, 1.0])
+
+    def test_antiparallel_node_is_not_pruned(self):
+        """A scene the differential fuzz found: the pivot lies on the solid's
+        face inside a level-1 node whose center is exactly antiparallel to
+        one orientation; the ICA methods used to report that orientation
+        free."""
+        from repro.cd.methods import METHODS
+        from repro.cd.scene import Scene
+        from repro.cd.traversal import TraversalConfig, run_cd
+        from repro.cd.verify import brute_force_map
+        from repro.geometry.orientation import OrientationGrid
+        from repro.octree.build import build_from_sdf, expand_top
+        from repro.solids.sdf import BoxSDF
+
+        domain = AABB((-16.0, -16.0, -16.0), (16.0, 16.0, 16.0))
+        tree = expand_top(build_from_sdf(BoxSDF((0.0, 0.0, 0.0), (6.0, 3.0, 3.0)), domain, 8), 1)
+        scene = Scene(tree, Tool.from_segments([(1.0, 1.0)]), np.array([-8.0, -2.0, -2.0]))
+        grid = OrientationGrid(2, 2)
+        expected = brute_force_map(scene, grid)
+        assert expected.all()
+        for cls in METHODS:
+            got = run_cd(
+                scene, grid, cls(), config=TraversalConfig(start_level=1, memo_levels=1),
+                workers=1,
+            ).collides
+            np.testing.assert_array_equal(got, expected, err_msg=cls.name)
 
 
 class TestCornerBandShrinksWithVoxelSize:
